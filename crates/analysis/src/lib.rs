@@ -5,8 +5,9 @@
 //! - [`verdict`] — success criteria and exploration outcomes;
 //! - [`invariants`] — executable validators for Lemmas 3.3, 3.4, 3.7 and
 //!   Rule 1;
-//! - [`scenario`] — the uniform runner over the algorithm portfolio × the
-//!   dynamics suite (including the proof adversaries);
+//! - [`scenario`] — the uniform recording runner over the algorithm
+//!   portfolio × the dynamics suite (including the proof adversaries);
+//! - [`serial`] — the quiet first-cover kernel behind campaign units;
 //! - [`table1`] — the end-to-end Table 1 reproduction;
 //! - [`grid`] — parameter sweeps (cover time vs `n`, `k`, dynamicity);
 //! - [`monte_carlo`] — replica sweeps on the lane-parallel lockstep
@@ -50,6 +51,7 @@ pub mod parallel;
 pub mod report;
 pub mod scenario;
 pub mod seeds;
+pub mod serial;
 pub mod stats;
 pub mod table1;
 pub mod verdict;
@@ -65,5 +67,6 @@ pub use scenario::{
     PlacementSpec, Scenario, ScenarioError, ScenarioReport, SchedulerChoice,
 };
 pub use seeds::{derive_stream_seed, mix64};
+pub use serial::{first_cover, SerialReplica};
 pub use table1::{run_table1, run_table1_serial, Table1Options, Table1Report};
 pub use verdict::{ExplorationOutcome, SuccessCriteria};

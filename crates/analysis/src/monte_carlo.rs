@@ -18,10 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dynring_core::baselines::{
-    AlternateDirection, AlwaysTurnOnTower, BounceOnMissingEdge, KeepDirection, RandomDirection,
-};
-use dynring_core::{Pef1, Pef2, Pef3Plus};
+use dynring_core::Pef3Plus;
 use dynring_engine::{
     BatchAlgorithm, BatchCoverage, BatchSimulator, LaneWord, Lanes128, Lanes256,
     RoundRobinSingle, LANES,
@@ -29,7 +26,9 @@ use dynring_engine::{
 use dynring_graph::{BernoulliReplicaBank, BernoulliReplicas, RingTopology, Time};
 
 use crate::parallel::{available_workers, par_map};
-use crate::scenario::{AlgorithmChoice, PlacementSpec, Scenario, ScenarioError, SchedulerChoice};
+use crate::scenario::{
+    with_algorithm, AlgorithmChoice, PlacementSpec, ScenarioError, SchedulerChoice,
+};
 
 /// A fully specified Monte Carlo sweep: one `(n, k, p)` point, many
 /// Bernoulli replicas.
@@ -270,24 +269,9 @@ impl BatchSweep<'_> {
         if self.replicas == 0 {
             return Err(ScenarioError::NoReplicas);
         }
-        Ok(match self.algorithm {
-            AlgorithmChoice::Pef3Plus => self.sweep_with::<_, W>(Pef3Plus::new(), workers),
-            AlgorithmChoice::Pef2 => self.sweep_with::<_, W>(Pef2::new(), workers),
-            AlgorithmChoice::Pef1 => self.sweep_with::<_, W>(Pef1::new(), workers),
-            AlgorithmChoice::KeepDirection => self.sweep_with::<_, W>(KeepDirection, workers),
-            AlgorithmChoice::BounceOnMissingEdge => {
-                self.sweep_with::<_, W>(BounceOnMissingEdge, workers)
-            }
-            AlgorithmChoice::AlwaysTurnOnTower => {
-                self.sweep_with::<_, W>(AlwaysTurnOnTower, workers)
-            }
-            AlgorithmChoice::AlternateDirection => {
-                self.sweep_with::<_, W>(AlternateDirection, workers)
-            }
-            AlgorithmChoice::RandomDirection { seed } => {
-                self.sweep_with::<_, W>(RandomDirection::new(seed), workers)
-            }
-        })
+        Ok(with_algorithm!(self.algorithm, |algorithm| {
+            self.sweep_with::<_, W>(algorithm, workers)
+        }))
     }
 
     /// The [`BernoulliReplicaBank`] of lockstep group `group` at arity
@@ -427,22 +411,6 @@ fn summarize(config: MonteCarloConfig, firsts: &[Option<Time>]) -> MonteCarloSum
     }
 }
 
-/// The [`Scenario`]-shaped view of a Monte Carlo point (for reports that
-/// want to pass the configuration through existing machinery).
-pub fn as_scenario(cfg: &MonteCarloConfig) -> Scenario {
-    Scenario::new(
-        cfg.ring_size,
-        PlacementSpec::EvenlySpaced { count: cfg.robots },
-        cfg.algorithm,
-        crate::scenario::DynamicsChoice::BernoulliRecurrent {
-            p: cfg.presence_probability,
-            bound: 8,
-        },
-        cfg.horizon,
-    )
-    .with_seed(cfg.seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,8 +491,6 @@ mod tests {
         // serial engine run over its derived lane schedule — with no
         // ghost-lane leakage into covered counts, survival, extrema or
         // the histogram, under every worker count.
-        use dynring_engine::{Oblivious, Simulator};
-
         let cfg = MonteCarloConfig {
             ring_size: 8,
             robots: 3,
@@ -537,52 +503,19 @@ mod tests {
         let ring = RingTopology::new(cfg.ring_size).expect("valid ring");
         let placements = PlacementSpec::EvenlySpaced { count: cfg.robots }.build(cfg.ring_size);
         // Serial reference: replica r = batch r/64, lane r%64.
-        let mut serial_firsts: Vec<Option<Time>> = Vec::new();
-        for r in 0..cfg.replicas {
-            let replicas = BernoulliReplicas::new(
-                ring.clone(),
-                cfg.presence_probability,
-                derive_batch_seed(cfg.seed, r / LANES),
-            )
-            .expect("valid p");
-            let mut sim = Simulator::new(
-                ring.clone(),
-                Pef3Plus::new(),
-                Oblivious::new(replicas.lane((r % LANES) as u32)),
-                placements.clone(),
-            )
-            .expect("valid setup");
-            let n = cfg.ring_size;
-            let mut seen = vec![false; n];
-            let mut missing = n;
-            let mut first_cover = None;
-            fn note(
-                seen: &mut [bool],
-                missing: &mut usize,
-                first_cover: &mut Option<Time>,
-                positions: &[dynring_graph::NodeId],
-                t: Time,
-            ) {
-                for p in positions {
-                    if !seen[p.index()] {
-                        seen[p.index()] = true;
-                        *missing -= 1;
-                        if *missing == 0 && first_cover.is_none() {
-                            *first_cover = Some(t);
-                        }
-                    }
-                }
-            }
-            note(&mut seen, &mut missing, &mut first_cover, &sim.positions(), 0);
-            for t in 1..=cfg.horizon {
-                sim.step_quiet();
-                note(&mut seen, &mut missing, &mut first_cover, &sim.positions(), t);
-                if missing == 0 {
-                    break;
-                }
-            }
-            serial_firsts.push(first_cover);
-        }
+        let serial_firsts: Vec<Option<Time>> = (0..cfg.replicas)
+            .map(|r| {
+                serial_anchor(
+                    &ring,
+                    &placements,
+                    cfg.presence_probability,
+                    cfg.horizon,
+                    cfg.seed,
+                    r,
+                    false,
+                )
+            })
+            .collect();
         let serial_covered: Vec<Time> = serial_firsts.iter().filter_map(|&c| c).collect();
         for workers in [1usize, 4] {
             let summary = run_replicas_with(&cfg, workers).expect("valid config");
@@ -647,15 +580,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn as_scenario_round_trips_the_point() {
-        let cfg = small_cfg();
-        let scenario = as_scenario(&cfg);
-        assert_eq!(scenario.ring_size, cfg.ring_size);
-        assert_eq!(scenario.seed, cfg.seed);
-        assert_eq!(scenario.horizon, cfg.horizon);
-    }
-    /// Serial-engine first cover of replica `r` of the arity-invariant
+    /// Serial-kernel first cover of replica `r` of the arity-invariant
     /// numbering: lane `r % 64` of the stream seeded
     /// `derive_batch_seed(seed, r / 64)`, optionally under the serial
     /// round-robin SSYNC scheduler.
@@ -668,42 +593,26 @@ mod tests {
         r: usize,
         ssync: bool,
     ) -> Option<Time> {
-        use dynring_engine::{Oblivious, Simulator};
         let replicas =
             BernoulliReplicas::new(ring.clone(), p, derive_batch_seed(seed, r / LANES))
                 .expect("valid p");
-        let mut sim = Simulator::new(
-            ring.clone(),
-            Pef3Plus::new(),
-            Oblivious::new(replicas.lane((r % LANES) as u32)),
-            placements.to_vec(),
-        )
-        .expect("valid setup");
-        if ssync {
-            sim.set_activation(RoundRobinSingle);
-        }
-        let n = ring.node_count();
-        let mut seen = vec![false; n];
-        let mut missing = n;
-        let mut note = move |seen: &mut [bool], positions: &[dynring_graph::NodeId]| {
-            for pos in positions {
-                if !seen[pos.index()] {
-                    seen[pos.index()] = true;
-                    missing -= 1;
-                }
-            }
-            missing == 0
+        let replica = crate::SerialReplica {
+            algorithm: AlgorithmChoice::Pef3Plus,
+            ring,
+            placements,
+            horizon,
         };
-        if note(&mut seen, &sim.positions()) {
-            return Some(0);
-        }
-        for t in 1..=horizon {
-            sim.step_quiet();
-            if note(&mut seen, &sim.positions()) {
-                return Some(t);
-            }
-        }
-        None
+        let scheduler = if ssync {
+            SchedulerChoice::SsyncRoundRobin
+        } else {
+            SchedulerChoice::Fsync
+        };
+        replica
+            .first_cover(
+                dynring_engine::Oblivious::new(replicas.lane((r % LANES) as u32)),
+                scheduler,
+            )
+            .expect("valid setup")
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! Uniform scenario runner: one algorithm × one dynamics × one placement,
 //! with verdicts, invariant checks and connected-over-time certification.
+//!
+//! This is the recording harness: it keeps the whole trace, so it serves
+//! where the trace is the product (verdicts, capture/replay, audit,
+//! Table 1). Callers that need only the first cover use the quiet
+//! [`crate::serial`] kernel, which reports the same round.
 
 use std::error::Error;
 use std::fmt;
@@ -7,13 +12,9 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use dynring_adversary::{PointedEdgeBlocker, SingleRobotConfiner, SsyncBlocker, TwoRobotConfiner};
-use dynring_core::baselines::{
-    AlternateDirection, AlwaysTurnOnTower, BounceOnMissingEdge, KeepDirection, RandomDirection,
-};
-use dynring_core::{Pef1, Pef2, Pef3Plus};
 use dynring_engine::{
-    Algorithm, Capturing, Chirality, Dynamics, EngineError, ExecutionTrace, Oblivious,
-    RobotPlacement, RoundRobinSingle, Simulator,
+    Capturing, Chirality, Dynamics, EngineError, Oblivious, Recurrent, RobotPlacement,
+    RoundRobinSingle, Simulator, Streamed,
 };
 use dynring_graph::classes::{certify_connected_over_time, CotVerdict};
 use dynring_graph::generators::{self, RandomCotConfig};
@@ -79,6 +80,51 @@ impl AlgorithmChoice {
         ]
     }
 }
+
+/// Runs `$body` with `$alg` bound to the concrete algorithm instance of an
+/// [`AlgorithmChoice`]: the one portfolio dispatch, shared by the recording
+/// harness, the serial first-cover kernel and the batch sweep.
+macro_rules! with_algorithm {
+    ($choice:expr, |$alg:ident| $body:expr) => {{
+        use dynring_core::baselines as b;
+        use $crate::scenario::AlgorithmChoice as C;
+        match $choice {
+            C::Pef3Plus => {
+                let $alg = dynring_core::Pef3Plus::new();
+                $body
+            }
+            C::Pef2 => {
+                let $alg = dynring_core::Pef2::new();
+                $body
+            }
+            C::Pef1 => {
+                let $alg = dynring_core::Pef1::new();
+                $body
+            }
+            C::KeepDirection => {
+                let $alg = b::KeepDirection;
+                $body
+            }
+            C::BounceOnMissingEdge => {
+                let $alg = b::BounceOnMissingEdge;
+                $body
+            }
+            C::AlwaysTurnOnTower => {
+                let $alg = b::AlwaysTurnOnTower;
+                $body
+            }
+            C::AlternateDirection => {
+                let $alg = b::AlternateDirection;
+                $body
+            }
+            C::RandomDirection { seed } => {
+                let $alg = b::RandomDirection::new(seed);
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_algorithm;
 
 /// The dynamics suite, as data.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -199,6 +245,16 @@ impl SchedulerChoice {
         match self {
             SchedulerChoice::Fsync => "fsync",
             SchedulerChoice::SsyncRoundRobin => "ssync-round-robin",
+        }
+    }
+
+    /// The scheduler actually played against `dynamics`: the SSYNC blocker
+    /// only makes sense under round-robin activation, so that dynamics
+    /// implies it whatever the requested scheduler.
+    pub(crate) fn played_against(self, dynamics: DynamicsChoice) -> SchedulerChoice {
+        match dynamics {
+            DynamicsChoice::SsyncBlocker => SchedulerChoice::SsyncRoundRobin,
+            _ => self,
         }
     }
 }
@@ -412,47 +468,42 @@ impl From<EngineError> for ScenarioError {
     }
 }
 
-fn build_dynamics(
+/// Builds the dynamics a scenario plays, seeded `seed`. Generated classes
+/// are frame streams drawn one round at a time (the bits of the
+/// `generators` scripts), so a run pays only for the rounds it plays.
+pub(crate) fn build_dynamics(
     ring: &RingTopology,
     choice: DynamicsChoice,
-    horizon: Time,
     seed: u64,
 ) -> Result<Box<dyn Dynamics>, ScenarioError> {
+    let random_cot = |p, bound, eventual_missing| -> Result<Box<dyn Dynamics>, ScenarioError> {
+        let cfg = RandomCotConfig {
+            presence_probability: p,
+            recurrence_bound: bound,
+            eventual_missing,
+        };
+        let stream = generators::random_cot_stream(ring, &cfg, seed)?;
+        Ok(Box::new(Streamed(stream)))
+    };
     let boxed: Box<dyn Dynamics> = match choice {
         DynamicsChoice::Static => Box::new(Oblivious::new(AlwaysPresent::new(ring.clone()))),
-        DynamicsChoice::BernoulliRecurrent { p, bound } => {
-            let cfg = RandomCotConfig {
-                presence_probability: p,
-                recurrence_bound: bound,
-                eventual_missing: None,
-            };
-            let schedule = generators::random_connected_over_time(ring, horizon, &cfg, seed)?;
-            Box::new(Oblivious::new(schedule))
-        }
+        DynamicsChoice::BernoulliRecurrent { p, bound } => random_cot(p, bound, None)?,
         DynamicsChoice::Markov { p_off, p_on } => {
-            let schedule = generators::markov_on_off(ring, horizon, p_off, p_on, seed)?;
+            let chain = Streamed(generators::markov_stream(ring, p_off, p_on, seed)?);
             // Repair so the class hypothesis provably holds on the window.
-            let repaired: ScriptedSchedule =
-                generators::enforce_recurrence(&schedule, horizon, 16, None);
-            Box::new(Oblivious::new(repaired))
+            Box::new(Recurrent::new(chain, 16, None))
         }
         DynamicsChoice::EventualMissing { p, bound, edge, from } => {
             if edge >= ring.edge_count() {
                 return Err(ScenarioError::BadEdge { index: edge });
             }
-            let cfg = RandomCotConfig {
-                presence_probability: p,
-                recurrence_bound: bound,
-                eventual_missing: Some((EdgeId::new(edge), from)),
-            };
-            let schedule = generators::random_connected_over_time(ring, horizon, &cfg, seed)?;
-            Box::new(Oblivious::new(schedule))
+            random_cot(p, bound, Some((EdgeId::new(edge), from)))?
         }
         DynamicsChoice::SweepingOutage { dwell } => {
             Box::new(Oblivious::new(generators::sweeping_outage(ring, dwell)))
         }
-        DynamicsChoice::TIntervalConnected { stability } => Box::new(Oblivious::new(
-            generators::t_interval_connected(ring, horizon, stability, seed),
+        DynamicsChoice::TIntervalConnected { stability } => Box::new(Streamed(
+            generators::t_interval_stream(ring, stability, seed),
         )),
         DynamicsChoice::AlternatingHoles => {
             let n = ring.edge_count();
@@ -475,75 +526,39 @@ fn build_dynamics(
     Ok(boxed)
 }
 
-fn run_with_algorithm<A: Algorithm>(
-    algorithm: A,
-    ring: RingTopology,
-    dynamics: Box<dyn Dynamics>,
-    placements: Vec<RobotPlacement>,
+/// Records the scenario's algorithm over its horizon against the dynamics
+/// `build` makes for its ring, and reports, returning the schedule the
+/// dynamics actually played.
+fn record(
     scenario: &Scenario,
-) -> Result<(ExecutionTrace, CotVerdict, ScriptedSchedule), ScenarioError> {
-    let capturing = Capturing::new(dynamics);
-    let mut sim = Simulator::new(ring, algorithm, capturing, placements)?;
-    // The SSYNC blocker only makes sense under round-robin activation, so
-    // that dynamics implies the scheduler regardless of the scenario's own
-    // choice.
-    if matches!(scenario.scheduler, SchedulerChoice::SsyncRoundRobin)
-        || matches!(scenario.dynamics, DynamicsChoice::SsyncBlocker)
-    {
-        sim.set_activation(RoundRobinSingle);
-    }
-    let trace = sim.run_recording(scenario.horizon);
-    let script = sim.dynamics().to_script(TailBehavior::AllPresent);
+    build: impl FnOnce(&RingTopology) -> Result<Box<dyn Dynamics>, ScenarioError>,
+) -> Result<(ScenarioReport, ScriptedSchedule), ScenarioError> {
+    let ring = RingTopology::new(scenario.ring_size)?;
+    let placements = scenario.placement.build(scenario.ring_size);
+    let dynamics = Capturing::new(build(&ring)?);
+    let scheduler = scenario.scheduler.played_against(scenario.dynamics);
+    let (trace, script) = with_algorithm!(scenario.algorithm, |algorithm| {
+        let mut sim = Simulator::new(ring, algorithm, dynamics, placements)?;
+        if scheduler == SchedulerChoice::SsyncRoundRobin {
+            sim.set_activation(RoundRobinSingle);
+        }
+        (
+            sim.run_recording(scenario.horizon),
+            sim.dynamics().to_script(TailBehavior::AllPresent),
+        )
+    });
     // A generous recurrence bound: adversaries must still recur within it
     // (except their single allowed missing edge).
     let bound = (scenario.horizon / 4).max(16);
     let cot = certify_connected_over_time(&script, scenario.horizon, bound);
-    Ok((trace, cot, script))
-}
-
-fn dispatch(
-    scenario: &Scenario,
-    ring: RingTopology,
-    dynamics: Box<dyn Dynamics>,
-    placements: Vec<RobotPlacement>,
-) -> Result<(ExecutionTrace, CotVerdict, ScriptedSchedule), ScenarioError> {
-    match scenario.algorithm {
-        AlgorithmChoice::Pef3Plus => {
-            run_with_algorithm(Pef3Plus, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::Pef2 => run_with_algorithm(Pef2, ring, dynamics, placements, scenario),
-        AlgorithmChoice::Pef1 => run_with_algorithm(Pef1, ring, dynamics, placements, scenario),
-        AlgorithmChoice::KeepDirection => {
-            run_with_algorithm(KeepDirection, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::BounceOnMissingEdge => {
-            run_with_algorithm(BounceOnMissingEdge, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::AlwaysTurnOnTower => {
-            run_with_algorithm(AlwaysTurnOnTower, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::AlternateDirection => {
-            run_with_algorithm(AlternateDirection, ring, dynamics, placements, scenario)
-        }
-        AlgorithmChoice::RandomDirection { seed } => {
-            run_with_algorithm(RandomDirection::new(seed), ring, dynamics, placements, scenario)
-        }
-    }
-}
-
-fn report_from(
-    trace: &ExecutionTrace,
-    cot: CotVerdict,
-    scenario: &Scenario,
-) -> ScenarioReport {
-    let ledger = VisitLedger::from_trace(trace);
-    let outcome = ExplorationOutcome::evaluate(&ledger, scenario.criteria);
+    let ledger = VisitLedger::from_trace(&trace);
     let moves = trace
         .rounds()
         .iter()
         .map(|r| r.robots.iter().filter(|x| x.moved).count() as u64)
         .sum();
-    ScenarioReport {
+    let report = ScenarioReport {
+        outcome: ExplorationOutcome::evaluate(&ledger, scenario.criteria),
         covers: ledger.covers(),
         max_gap: ledger.max_revisit_gap(),
         first_cover: ledger.first_cover(),
@@ -551,8 +566,8 @@ fn report_from(
         max_tower: trace.max_tower_size(),
         moves,
         cot,
-        outcome,
-    }
+    };
+    Ok((report, script))
 }
 
 /// Runs one scenario end to end and reports.
@@ -575,11 +590,9 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
 pub fn run_scenario_capturing(
     scenario: &Scenario,
 ) -> Result<(ScenarioReport, ScriptedSchedule), ScenarioError> {
-    let ring = RingTopology::new(scenario.ring_size)?;
-    let placements = scenario.placement.build(scenario.ring_size);
-    let dynamics = build_dynamics(&ring, scenario.dynamics, scenario.horizon, scenario.seed)?;
-    let (trace, cot, script) = dispatch(scenario, ring, dynamics, placements)?;
-    Ok((report_from(&trace, cot, scenario), script))
+    record(scenario, |ring| {
+        build_dynamics(ring, scenario.dynamics, scenario.seed)
+    })
 }
 
 /// Replays a scenario's algorithm against a *given* pure schedule (instead
@@ -596,11 +609,7 @@ pub fn run_on_schedule(
     scenario: &Scenario,
     schedule: ScriptedSchedule,
 ) -> Result<ScenarioReport, ScenarioError> {
-    let ring = RingTopology::new(scenario.ring_size)?;
-    let placements = scenario.placement.build(scenario.ring_size);
-    let dynamics: Box<dyn Dynamics> = Box::new(Oblivious::new(schedule));
-    let (trace, cot, _) = dispatch(scenario, ring, dynamics, placements)?;
-    Ok(report_from(&trace, cot, scenario))
+    record(scenario, |_| Ok(Box::new(Oblivious::new(schedule)))).map(|(report, _)| report)
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@
 //! the combinations whose per-lane execution is proven bit-identical to
 //! the serial engine (SSYNC rides the word-parallel round-robin
 //! activation words, the same deterministic policy the serial engine
-//! plays). Everything else (adaptive adversaries, repaired stochastic
-//! classes, ASYNC scheduling) falls back to the serial engines. The
-//! batch route also carries its lane arity
+//! plays). Everything else (adaptive adversaries, generated stochastic
+//! classes, ASYNC scheduling) runs replica by replica on the serial
+//! first-cover kernel ([`dynring_analysis::serial`]): quiet rounds (or
+//! ASYNC ticks), stopped at the first cover, generated dynamics drawn one
+//! frame per round. The batch route also carries its lane arity
 //! ([`dynring_analysis::BatchArity`], picked per unit by replica count)
 //! — a pure throughput knob that never enters unit hashes or stored
 //! record bytes, since every arity produces the same bytes. Because the
@@ -25,23 +27,15 @@
 
 use serde::{Deserialize, Serialize};
 
-use dynring_analysis::scenario::SchedulerChoice;
 use dynring_analysis::seeds::derive_stream_seed;
-use dynring_analysis::{BatchArity, BatchSweep, Scenario, ScenarioError};
-use dynring_core::baselines::{
-    AlternateDirection, AlwaysTurnOnTower, BounceOnMissingEdge, KeepDirection, RandomDirection,
+use dynring_analysis::{
+    first_cover, BatchArity, BatchSweep, Scenario, ScenarioError, SerialReplica,
 };
-use dynring_core::{Pef1, Pef2, Pef3Plus};
-use dynring_engine::async_exec::{AsyncSimulator, ObliviousAsync};
-use dynring_engine::{
-    Algorithm, Oblivious, RobotPlacement, RoundRobinSingle, Simulator, LANES,
-};
-use dynring_graph::{AlwaysPresent, BernoulliReplicas, EdgeSchedule, NodeId, RingTopology, Time};
+use dynring_engine::{Oblivious, RobotPlacement, LANES};
+use dynring_graph::{AlwaysPresent, BernoulliLane, BernoulliReplicas, RingTopology, Time};
 
-use crate::spec::{PlannedUnit, UnitDynamics, UnitScheduler, WorkUnit};
+use crate::spec::{PlannedUnit, UnitDynamics, UnitScheduler, WorkUnit, ASYNC_DYNAMICS};
 use crate::CampaignError;
-
-use dynring_analysis::AlgorithmChoice;
 
 /// Where a unit executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,227 +181,50 @@ pub struct UnitRecord {
     pub result: UnitMeasurement,
 }
 
-/// Dispatches `$body` with `$alg` bound to the concrete algorithm
-/// instance of an [`AlgorithmChoice`] — the serial twin of the batch
-/// dispatch inside [`BatchSweep::first_covers`].
-macro_rules! with_algorithm {
-    ($choice:expr, |$alg:ident| $body:expr) => {
-        match $choice {
-            AlgorithmChoice::Pef3Plus => {
-                let $alg = Pef3Plus::new();
-                $body
-            }
-            AlgorithmChoice::Pef2 => {
-                let $alg = Pef2::new();
-                $body
-            }
-            AlgorithmChoice::Pef1 => {
-                let $alg = Pef1::new();
-                $body
-            }
-            AlgorithmChoice::KeepDirection => {
-                let $alg = KeepDirection;
-                $body
-            }
-            AlgorithmChoice::BounceOnMissingEdge => {
-                let $alg = BounceOnMissingEdge;
-                $body
-            }
-            AlgorithmChoice::AlwaysTurnOnTower => {
-                let $alg = AlwaysTurnOnTower;
-                $body
-            }
-            AlgorithmChoice::AlternateDirection => {
-                let $alg = AlternateDirection;
-                $body
-            }
-            AlgorithmChoice::RandomDirection { seed } => {
-                let $alg = RandomDirection::new(seed);
-                $body
-            }
-        }
-    };
-}
-
-/// First-cover ledger shared by the serial loops.
-struct CoverLedger {
-    seen: Vec<bool>,
-    missing: usize,
-    first_cover: Option<Time>,
-}
-
-impl CoverLedger {
-    fn new(n: usize) -> Self {
-        CoverLedger { seen: vec![false; n], missing: n, first_cover: None }
-    }
-
-    fn note(&mut self, positions: &[NodeId], t: Time) {
-        for p in positions {
-            if !self.seen[p.index()] {
-                self.seen[p.index()] = true;
-                self.missing -= 1;
-                if self.missing == 0 && self.first_cover.is_none() {
-                    self.first_cover = Some(t);
-                }
-            }
-        }
-    }
-
-    fn covered(&self) -> bool {
-        self.missing == 0
-    }
-}
-
-/// One serial replica on the round simulator (FSYNC or SSYNC round-robin)
-/// over a pure schedule.
-fn serial_replica_sync<A: Algorithm, S: EdgeSchedule>(
-    ring: &RingTopology,
-    algorithm: A,
-    schedule: S,
-    placements: &[RobotPlacement],
-    scheduler: UnitScheduler,
-    horizon: Time,
-) -> Result<Option<Time>, ScenarioError> {
-    let mut sim = Simulator::new(
-        ring.clone(),
-        algorithm,
-        Oblivious::new(schedule),
-        placements.to_vec(),
-    )?;
-    if scheduler == UnitScheduler::Ssync {
-        sim.set_activation(RoundRobinSingle);
-    }
-    let mut ledger = CoverLedger::new(ring.node_count());
-    ledger.note(&sim.positions(), 0);
-    for t in 1..=horizon {
-        if ledger.covered() {
-            break;
-        }
-        sim.step_quiet();
-        ledger.note(&sim.positions(), t);
-    }
-    Ok(ledger.first_cover)
-}
-
-/// One serial replica on the phase-split async simulator over a pure
-/// schedule. Time is counted in *ticks*; the horizon buys `3 × horizon`
-/// of them (one full Look-Compute-Move cycle per round).
-fn serial_replica_async<A: Algorithm, S: EdgeSchedule>(
-    ring: &RingTopology,
-    algorithm: A,
-    schedule: S,
-    placements: &[RobotPlacement],
-    horizon: Time,
-) -> Result<Option<Time>, ScenarioError> {
-    let mut sim = AsyncSimulator::new(
-        ring.clone(),
-        algorithm,
-        ObliviousAsync::new(schedule),
-        placements.to_vec(),
-    )?;
-    let mut ledger = CoverLedger::new(ring.node_count());
-    ledger.note(&sim.positions(), 0);
-    let ticks = horizon.saturating_mul(3);
-    for t in 1..=ticks {
-        if ledger.covered() {
-            break;
-        }
-        sim.tick_quiet();
-        ledger.note(&sim.positions(), t);
-    }
-    Ok(ledger.first_cover)
-}
-
-/// Runs a pure-Bernoulli unit replica-by-replica on the serial engines:
-/// the fallback for SSYNC/ASYNC scheduling, and the reference the batch
-/// route is tested bit-identical against.
-fn bernoulli_serial_first_covers(
-    unit: &WorkUnit,
-    p: f64,
-    placements: &[RobotPlacement],
-) -> Result<Vec<Option<Time>>, ScenarioError> {
-    let ring = RingTopology::new(unit.ring_size)?;
-    let mut firsts = Vec::with_capacity(unit.replicas);
-    for r in 0..unit.replicas {
-        let batch = (r / LANES) as u64;
-        let lane = (r % LANES) as u32;
-        let stream =
-            BernoulliReplicas::new(ring.clone(), p, derive_stream_seed(unit.seed, batch))?;
-        let schedule = stream.lane(lane);
-        let first = with_algorithm!(unit.algorithm, |alg| match unit.scheduler {
-            UnitScheduler::Sync | UnitScheduler::Ssync => serial_replica_sync(
-                &ring,
-                alg,
-                schedule,
-                placements,
-                unit.scheduler,
-                unit.horizon,
-            )?,
-            UnitScheduler::Async =>
-                serial_replica_async(&ring, alg, schedule, placements, unit.horizon)?,
-        });
-        firsts.push(first);
-    }
-    Ok(firsts)
-}
-
-/// Runs a static-ring unit on the serial engines (async scheduler
-/// included); deterministic, so the planner clamps it to one replica.
-fn static_serial_first_covers(
+/// Runs a unit replica by replica on the serial first-cover kernel. Replica
+/// `r` of a pure-Bernoulli unit plays lane `r % 64` of the stream seeded
+/// `derive_stream_seed(unit.seed, r / 64)`, the batch route's numbering,
+/// so a forced-serial run is the batch route's reference. Replica `r` of
+/// any other unit is the scenario seeded `derive_stream_seed(unit.seed, r)`.
+fn serial_first_covers(
     unit: &WorkUnit,
     placements: &[RobotPlacement],
 ) -> Result<Vec<Option<Time>>, ScenarioError> {
     let ring = RingTopology::new(unit.ring_size)?;
-    let mut firsts = Vec::with_capacity(unit.replicas);
-    for _ in 0..unit.replicas {
-        let schedule = AlwaysPresent::new(ring.clone());
-        let first = with_algorithm!(unit.algorithm, |alg| match unit.scheduler {
-            UnitScheduler::Sync | UnitScheduler::Ssync => serial_replica_sync(
-                &ring,
-                alg,
-                schedule,
-                placements,
-                unit.scheduler,
-                unit.horizon,
-            )?,
-            UnitScheduler::Async =>
-                serial_replica_async(&ring, alg, schedule, placements, unit.horizon)?,
-        });
-        firsts.push(first);
-    }
-    Ok(firsts)
-}
-
-/// Runs a unit through the scenario harness (generator-built schedules
-/// and the adaptive proof adversaries): replica `r` is the scenario
-/// seeded `derive_stream_seed(unit.seed, r)`.
-fn scenario_first_covers(
-    unit: &WorkUnit,
-    placements: &[RobotPlacement],
-) -> Result<Vec<Option<Time>>, ScenarioError> {
-    let dynamics = unit
-        .dynamics
-        .as_dynamics_choice()
-        .expect("pure Bernoulli units never take the scenario route");
-    let scheduler = match unit.scheduler {
-        UnitScheduler::Sync => SchedulerChoice::Fsync,
-        UnitScheduler::Ssync => SchedulerChoice::SsyncRoundRobin,
-        UnitScheduler::Async => unreachable!("async is restricted to oblivious dynamics"),
+    let replica = SerialReplica {
+        algorithm: unit.algorithm,
+        ring: &ring,
+        placements,
+        horizon: unit.horizon,
     };
-    let mut firsts = Vec::with_capacity(unit.replicas);
-    for r in 0..unit.replicas {
-        let scenario = Scenario::new(
+    let lane = |r: usize, p: f64| -> Result<BernoulliLane, ScenarioError> {
+        let seed = derive_stream_seed(unit.seed, (r / LANES) as u64);
+        Ok(BernoulliReplicas::new(ring.clone(), p, seed)?.lane((r % LANES) as u32))
+    };
+    let suite = |r: usize, scheduler| {
+        let dynamics = unit
+            .dynamics
+            .as_dynamics_choice()
+            .expect("pure Bernoulli units play lanes, not the suite");
+        Scenario::new(
             unit.ring_size,
-            dynring_analysis::PlacementSpec::Explicit(placements.to_vec()),
+            unit.placement.clone(),
             unit.algorithm,
             dynamics,
             unit.horizon,
         )
         .with_seed(derive_stream_seed(unit.seed, r as u64))
-        .with_scheduler(scheduler);
-        firsts.push(dynring_analysis::run_scenario(&scenario)?.first_cover);
-    }
-    Ok(firsts)
+        .with_scheduler(scheduler)
+    };
+    let first = |r: usize| match (unit.scheduler.round_scheduler(), unit.dynamics) {
+        (Some(scheduler), UnitDynamics::Bernoulli { p }) => {
+            replica.first_cover(Oblivious::new(lane(r, p)?), scheduler)
+        }
+        (Some(scheduler), _) => first_cover(&suite(r, scheduler)),
+        (None, UnitDynamics::Bernoulli { p }) => replica.first_cover_async(lane(r, p)?),
+        (None, _) => replica.first_cover_async(AlwaysPresent::new(ring.clone())),
+    };
+    (0..unit.replicas).map(first).collect()
 }
 
 /// Executes one planned unit on its natural route.
@@ -415,7 +232,10 @@ fn scenario_first_covers(
 /// # Errors
 ///
 /// [`CampaignError::Scenario`] when the unit is ill-formed for the
-/// engines (placement/ring mismatch, invalid probability, …).
+/// engines (placement/ring mismatch, invalid probability, …);
+/// [`CampaignError::InvalidSpec`] for an async unit over dynamics the
+/// async scheduler does not support (a spec would have been refused, but
+/// a store record can still carry one).
 pub fn execute_unit(planned: &PlannedUnit) -> Result<UnitRecord, CampaignError> {
     execute_unit_on(planned, route_unit(&planned.unit))
 }
@@ -430,13 +250,19 @@ pub fn execute_unit(planned: &PlannedUnit) -> Result<UnitRecord, CampaignError> 
 /// `Route::Batch` is forced onto a unit that is not batch-eligible.
 pub fn execute_unit_on(planned: &PlannedUnit, route: Route) -> Result<UnitRecord, CampaignError> {
     let unit = &planned.unit;
-    if route.is_batch() && !route_unit(unit).is_batch() {
-        return Err(CampaignError::InvalidSpec(format!(
-            "unit {} ({} × {}) is not batch-eligible",
+    let ineligible = |why: String| {
+        Err(CampaignError::InvalidSpec(format!(
+            "unit {} ({} × {}) {why}",
             planned.hash,
             unit.dynamics.name(),
             unit.scheduler.name()
-        )));
+        )))
+    };
+    if route.is_batch() && !route_unit(unit).is_batch() {
+        return ineligible("is not batch-eligible".into());
+    }
+    if unit.scheduler == UnitScheduler::Async && !unit.dynamics.runs_async() {
+        return ineligible(format!("is refused: {ASYNC_DYNAMICS}"));
     }
     let placements = unit.placement.build(unit.ring_size);
     let firsts = match (route, unit.dynamics) {
@@ -450,23 +276,16 @@ pub fn execute_unit_on(planned: &PlannedUnit, route: Route) -> Result<UnitRecord
                 horizon: unit.horizon,
                 replicas: unit.replicas,
                 seed: unit.seed,
-                scheduler: match unit.scheduler {
-                    UnitScheduler::Sync => SchedulerChoice::Fsync,
-                    UnitScheduler::Ssync => SchedulerChoice::SsyncRoundRobin,
-                    UnitScheduler::Async => unreachable!("eligibility checked above"),
-                },
+                scheduler: unit
+                    .scheduler
+                    .round_scheduler()
+                    .expect("eligibility checked above"),
             };
             // Thread-level sharding lives at the campaign layer (units in
             // parallel), so the sweep itself stays single-threaded.
             sweep.first_covers_at(arity, 1)?
         }
-        (Route::Serial, UnitDynamics::Bernoulli { p }) => {
-            bernoulli_serial_first_covers(unit, p, &placements)?
-        }
-        (Route::Serial, UnitDynamics::Static) if unit.scheduler == UnitScheduler::Async => {
-            static_serial_first_covers(unit, &placements)?
-        }
-        (Route::Serial, _) => scenario_first_covers(unit, &placements)?,
+        (Route::Serial, _) => serial_first_covers(unit, &placements)?,
         (Route::Batch(_), _) => unreachable!("eligibility checked above"),
     };
     Ok(UnitRecord {
@@ -482,6 +301,7 @@ pub fn execute_unit_on(planned: &PlannedUnit, route: Route) -> Result<UnitRecord
 mod tests {
     use super::*;
     use crate::spec::{CampaignSpec, ExplicitRobot, PlacementAxis};
+    use dynring_analysis::AlgorithmChoice;
     use dynring_analysis::PlacementSpec;
 
     fn unit(dynamics: UnitDynamics, scheduler: UnitScheduler) -> PlannedUnit {
@@ -652,6 +472,29 @@ mod tests {
             ssync.result.mean_cover_time(),
             sync.result.mean_cover_time()
         );
+    }
+
+    #[test]
+    fn async_units_over_unsupported_dynamics_are_refused_not_panicked() {
+        // The planner refuses such a spec, but a store record can still
+        // carry the unit into execution (certify level 2 replays records
+        // even after the membership check fails).
+        let planned = unit(
+            UnitDynamics::Markov {
+                p_off: 0.2,
+                p_on: 0.4,
+            },
+            UnitScheduler::Async,
+        );
+        for route in [route_unit(&planned.unit), Route::Serial] {
+            match execute_unit_on(&planned, route) {
+                Err(CampaignError::InvalidSpec(msg)) => {
+                    assert!(msg.contains("(markov × async)"), "{msg}");
+                    assert!(msg.contains("supports only oblivious dynamics"), "{msg}");
+                }
+                other => panic!("expected InvalidSpec, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! - [`spec`] — a JSON [`CampaignSpec`] expands into a deterministic,
 //!   content-hashed list of [`WorkUnit`]s ([`CampaignSpec::plan`]);
-//! - [`executor`] — each unit routes to the 64-replica lockstep
+//! - [`executor`] — each unit routes to the lockstep
 //!   [`dynring_engine::BatchSimulator`] when eligible (pure Bernoulli ×
-//!   FSYNC) and to the serial engines otherwise ([`route_unit`]), with
+//!   FSYNC or SSYNC) and to the serial first-cover kernel
+//!   ([`dynring_analysis::serial`]) otherwise ([`route_unit`]), with
 //!   bit-identical measurements either way;
 //! - [`runner`] — [`run_campaign`] shards pending units over threads and
 //!   appends records in plan order, so parallel stores are byte-identical

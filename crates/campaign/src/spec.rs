@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dynring_analysis::{AlgorithmChoice, DynamicsChoice, PlacementSpec};
+use dynring_analysis::{AlgorithmChoice, DynamicsChoice, PlacementSpec, SchedulerChoice};
 use dynring_engine::{Chirality, LocalDir, RobotPlacement};
 use dynring_graph::{NodeId, Time};
 
@@ -27,7 +27,7 @@ use crate::CampaignError;
 ///
 /// [`UnitDynamics::Bernoulli`] is the *pure* per-edge presence stream the
 /// 64-replica batch engine executes natively; everything else maps onto
-/// the serial scenario runner's [`DynamicsChoice`] suite.
+/// the scenario [`DynamicsChoice`] suite the serial kernel plays.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum UnitDynamics {
     /// Pure Bernoulli presence (batch-eligible under the sync scheduler).
@@ -113,10 +113,17 @@ impl UnitDynamics {
         matches!(self, UnitDynamics::Bernoulli { .. })
     }
 
-    /// The serial scenario runner's equivalent, for units that fall back
-    /// to [`dynring_analysis::run_scenario`]. `None` for the pure
-    /// Bernoulli stream, which has no `DynamicsChoice` counterpart (it is
-    /// executed through the replica-lane machinery instead).
+    /// Whether the async scheduler supports this dynamics: only the pure
+    /// schedules the phase-split simulator plays (`bernoulli`, `static`).
+    pub(crate) fn runs_async(&self) -> bool {
+        matches!(self, UnitDynamics::Bernoulli { .. } | UnitDynamics::Static)
+    }
+
+    /// The scenario suite's equivalent, which the serial first-cover
+    /// kernel ([`dynring_analysis::first_cover`]) builds and plays. `None`
+    /// for the pure Bernoulli stream, which has no `DynamicsChoice`
+    /// counterpart: its replicas play lanes of the replica streams the
+    /// batch engine also draws from.
     pub fn as_dynamics_choice(&self) -> Option<DynamicsChoice> {
         Some(match *self {
             UnitDynamics::Bernoulli { .. } => return None,
@@ -161,7 +168,22 @@ impl UnitScheduler {
             UnitScheduler::Async => "async",
         }
     }
+
+    /// The activation of the round engines (serial and batch); `None` for
+    /// ASYNC, which runs on the phase-split simulator instead.
+    pub(crate) fn round_scheduler(&self) -> Option<SchedulerChoice> {
+        match self {
+            UnitScheduler::Sync => Some(SchedulerChoice::Fsync),
+            UnitScheduler::Ssync => Some(SchedulerChoice::SsyncRoundRobin),
+            UnitScheduler::Async => None,
+        }
+    }
 }
+
+/// Why an async unit over any other dynamics is refused, by the planner
+/// and by the executor alike.
+pub(crate) const ASYNC_DYNAMICS: &str =
+    "the async scheduler supports only oblivious dynamics (`bernoulli`, `static`)";
 
 /// One robot of an explicit placement: node plus the full local frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -386,12 +408,9 @@ impl CampaignSpec {
             return invalid("replicas must be at least 1".into());
         }
         if self.schedulers.contains(&UnitScheduler::Async) {
-            if let Some(d) = self.dynamics.iter().find(|d| {
-                !matches!(d, UnitDynamics::Bernoulli { .. } | UnitDynamics::Static)
-            }) {
+            if let Some(d) = self.dynamics.iter().find(|d| !d.runs_async()) {
                 return invalid(format!(
-                    "the async scheduler supports only oblivious dynamics \
-                     (`bernoulli`, `static`); the spec also lists `{}`",
+                    "{ASYNC_DYNAMICS}; the spec also lists `{}`",
                     d.name()
                 ));
             }

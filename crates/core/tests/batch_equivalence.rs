@@ -18,10 +18,11 @@ use dynring_core::baselines::{
 };
 use dynring_core::{Pef1, Pef2, Pef3Plus};
 use dynring_engine::{
-    BatchAlgorithm, BatchCoverage, BatchSimulator, Chirality, LaneWord, Lanes128, Lanes256,
-    Oblivious, PerLane, RobotId, RobotPlacement, RoundRobinSingle, Simulator, UniformBatch, LANES,
+    BatchAlgorithm, BatchCoverage, BatchSimulator, Chirality, CoverTracker, LaneWord, Lanes128,
+    Lanes256, Oblivious, PerLane, RobotId, RobotPlacement, RoundRobinSingle, Simulator,
+    UniformBatch, LANES,
 };
-use dynring_graph::{BernoulliReplicaBank, BernoulliReplicas, EdgeSchedule, NodeId, RingTopology, Time};
+use dynring_graph::{BernoulliReplicaBank, BernoulliReplicas, EdgeSchedule, NodeId, RingTopology};
 
 fn spread(n: usize, k: usize) -> Vec<RobotPlacement> {
     (0..k)
@@ -34,35 +35,6 @@ fn spread(n: usize, k: usize) -> Vec<RobotPlacement> {
             RobotPlacement::at(NodeId::new(i * n / k)).with_chirality(chirality)
         })
         .collect()
-}
-
-/// Serial visit ledger mirroring [`BatchCoverage`]'s first-cover rule.
-struct SerialCover {
-    seen: Vec<bool>,
-    missing: usize,
-    first_cover: Option<Time>,
-}
-
-impl SerialCover {
-    fn new(n: usize) -> Self {
-        SerialCover {
-            seen: vec![false; n],
-            missing: n,
-            first_cover: None,
-        }
-    }
-
-    fn note(&mut self, positions: &[NodeId], t: Time) {
-        for p in positions {
-            if !self.seen[p.index()] {
-                self.seen[p.index()] = true;
-                self.missing -= 1;
-                if self.missing == 0 && self.first_cover.is_none() {
-                    self.first_cover = Some(t);
-                }
-            }
-        }
-    }
 }
 
 /// Runs one `(algorithm, n, k, p, seed)` configuration `horizon` rounds
@@ -102,9 +74,11 @@ where
             .expect("valid setup")
         })
         .collect();
-    let mut serial_covers: Vec<SerialCover> = lanes.iter().map(|_| SerialCover::new(n)).collect();
+    // The serial kernel's tracker, held to `BatchCoverage`'s rule lane by
+    // lane.
+    let mut serial_covers: Vec<CoverTracker> = lanes.iter().map(|_| CoverTracker::new(n)).collect();
     for (cover, serial) in serial_covers.iter_mut().zip(&serials) {
-        cover.note(&serial.positions(), 0);
+        cover.observe(0, serial.positions_iter());
     }
     for t in 1..=horizon {
         batch.step();
@@ -113,7 +87,7 @@ where
             lanes.iter().zip(serials.iter_mut()).zip(serial_covers.iter_mut())
         {
             serial.step_quiet();
-            cover.note(&serial.positions(), t);
+            cover.observe(t, serial.positions_iter());
             prop_assert_eq!(
                 batch.positions_of(lane),
                 serial.positions(),
@@ -157,7 +131,7 @@ where
     for (&lane, cover) in lanes.iter().zip(&serial_covers) {
         prop_assert_eq!(
             coverage.first_cover(lane),
-            cover.first_cover,
+            cover.first_cover(),
             "{} n={} k={} p={}: first cover of lane {}",
             algorithm.name(),
             n,

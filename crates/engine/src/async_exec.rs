@@ -257,34 +257,8 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
         dynamics: D,
         placements: Vec<RobotPlacement>,
     ) -> Result<Self, EngineError> {
-        if placements.is_empty() {
-            return Err(EngineError::NoRobots);
-        }
-        if placements.len() >= ring.node_count() {
-            return Err(EngineError::TooManyRobots {
-                robots: placements.len(),
-                nodes: ring.node_count(),
-            });
-        }
-        if dynamics.ring().node_count() != ring.node_count() {
-            return Err(EngineError::RingMismatch {
-                expected: ring.node_count(),
-                found: dynamics.ring().node_count(),
-            });
-        }
-        let mut seen = vec![false; ring.node_count()];
-        for p in &placements {
-            if !ring.contains_node(p.node) {
-                return Err(EngineError::NodeOutOfRange {
-                    node: p.node,
-                    nodes: ring.node_count(),
-                });
-            }
-            if seen[p.node.index()] {
-                return Err(EngineError::InitialTower { node: p.node });
-            }
-            seen[p.node.index()] = true;
-        }
+        crate::simulator::check_well_initiated(&ring, &placements)?;
+        crate::simulator::check_setup(&ring, dynamics.ring(), &placements)?;
         let k = placements.len();
         let edge_buf = EdgeSet::empty(ring.edge_count());
         let occupancy_buf = vec![0usize; ring.node_count()];
@@ -323,6 +297,11 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
     /// Current positions, in robot-id order.
     pub fn positions(&self) -> Vec<NodeId> {
         self.nodes.clone()
+    }
+
+    /// Current positions, in robot-id order, without allocating.
+    pub fn positions_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes.iter().copied()
     }
 
     /// Pending phase of each robot.

@@ -1586,26 +1586,17 @@ mod tests {
                 placements.clone(),
             )
             .expect("valid setup");
-            let mut seen = [false; 7];
-            let mut missing = 7usize;
-            let mut first_cover = None;
-            let mut note = |positions: &[NodeId], t: Time| {
-                for p in positions {
-                    if !seen[p.index()] {
-                        seen[p.index()] = true;
-                        missing -= 1;
-                        if missing == 0 && first_cover.is_none() {
-                            first_cover = Some(t);
-                        }
-                    }
-                }
-            };
-            note(&serial.positions(), 0);
+            let mut cover = crate::CoverTracker::new(7);
+            cover.observe(0, serial.positions_iter());
             for t in 1..=horizon {
                 serial.step_quiet();
-                note(&serial.positions(), t);
+                cover.observe(t, serial.positions_iter());
             }
-            assert_eq!(coverage.first_cover(lane), first_cover, "lane {lane}");
+            assert_eq!(
+                coverage.first_cover(lane),
+                cover.first_cover(),
+                "lane {lane}"
+            );
         }
     }
 }

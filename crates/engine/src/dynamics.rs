@@ -4,12 +4,16 @@
 //! `G_t` after observing the full configuration `γ_t` (robot positions and
 //! states) — this is exactly how the impossibility proofs operate. The
 //! [`Dynamics`] trait models that; [`Oblivious`] plugs in the pure
-//! time-indexed schedules of `dynring-graph`, [`Recurrent`] repairs any
-//! dynamics to a hard recurrence bound online, and [`Capturing`] records the
+//! time-indexed schedules of `dynring-graph`, [`Streamed`] plays its
+//! generated frame streams, [`Recurrent`] repairs any dynamics to a hard
+//! recurrence bound online, and [`Capturing`] records the
 //! emitted snapshots so adaptive runs can be replayed as pure schedules
 //! (feeding the convergence framework).
 
-use dynring_graph::{EdgeId, EdgeSchedule, EdgeSet, NodeId, RingTopology, ScriptedSchedule, TailBehavior, Time};
+use dynring_graph::generators::{FrameStream, RecurrenceRepair};
+use dynring_graph::{
+    EdgeId, EdgeSchedule, EdgeSet, NodeId, RingTopology, ScriptedSchedule, TailBehavior, Time,
+};
 
 use crate::RobotSnapshot;
 
@@ -272,7 +276,7 @@ pub(crate) fn answer_probes_from_schedule<S: EdgeSchedule>(
 
 /// Online recurrence repair: whatever `inner` decides, every edge (except an
 /// optional exempt one) is forced present before its absence run reaches
-/// `bound`.
+/// `bound` — the [`RecurrenceRepair`] step applied to each snapshot.
 ///
 /// Wrapping an adversary in `Recurrent` *guarantees* the produced evolving
 /// graph is connected-over-time with recurrence bound `bound` — the
@@ -281,9 +285,7 @@ pub(crate) fn answer_probes_from_schedule<S: EdgeSchedule>(
 #[derive(Debug, Clone)]
 pub struct Recurrent<D> {
     inner: D,
-    bound: Time,
-    exempt: Option<EdgeId>,
-    absent_run: Vec<Time>,
+    repair: RecurrenceRepair,
 }
 
 impl<D: Dynamics> Recurrent<D> {
@@ -294,30 +296,13 @@ impl<D: Dynamics> Recurrent<D> {
     ///
     /// Panics when `bound == 0` or when `exempt` is not an edge of the ring.
     pub fn new(inner: D, bound: Time, exempt: Option<EdgeId>) -> Self {
-        assert!(bound >= 1, "recurrence bound must be at least 1");
-        if let Some(e) = exempt {
-            inner
-                .ring()
-                .check_edge(e)
-                .unwrap_or_else(|err| panic!("{err}"));
-        }
-        let edges = inner.ring().edge_count();
-        Recurrent {
-            inner,
-            bound,
-            exempt,
-            absent_run: vec![0; edges],
-        }
+        let repair = RecurrenceRepair::new(inner.ring().edge_count(), bound, exempt);
+        Recurrent { inner, repair }
     }
 
     /// The wrapped dynamics.
     pub fn inner(&self) -> &D {
         &self.inner
-    }
-
-    /// The recurrence bound.
-    pub fn bound(&self) -> Time {
-        self.bound
     }
 }
 
@@ -338,20 +323,29 @@ impl<D: Dynamics> Dynamics for Recurrent<D> {
 
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
         self.inner.edges_at_into(obs, out);
-        for (index, run) in self.absent_run.iter_mut().enumerate() {
-            let e = EdgeId::new(index);
-            if Some(e) == self.exempt {
-                continue;
-            }
-            if out.contains(e) {
-                *run = 0;
-            } else if *run + 1 >= self.bound {
-                out.insert(e);
-                *run = 0;
-            } else {
-                *run += 1;
-            }
-        }
+        self.repair.apply(out);
+    }
+}
+
+/// An oblivious adversary over a [`FrameStream`] positioned at time 0: one
+/// frame per round, drawn when its round comes. It keeps the refusing
+/// `probe_edges` default, since a stream draws every frame whole anyway.
+#[derive(Debug, Clone)]
+pub struct Streamed<S>(pub S);
+
+impl<S: FrameStream> Dynamics for Streamed<S> {
+    fn ring(&self) -> &RingTopology {
+        self.0.ring()
+    }
+
+    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
+        let mut set = EdgeSet::empty_for(self.0.ring());
+        self.edges_at_into(obs, &mut set);
+        set
+    }
+
+    fn edges_at_into(&mut self, _obs: &Observation<'_>, out: &mut EdgeSet) {
+        self.0.next_frame(out);
     }
 }
 

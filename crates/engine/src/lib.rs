@@ -79,10 +79,12 @@ pub use batch::{
     sparse_fill_default, BatchCoverage, BatchDynamics, BatchSimulator, UniformBatch, LANES,
 };
 pub use direction::{Chirality, LocalDir};
-pub use dynamics::{AdaptiveFn, Capturing, Dynamics, EdgeProbe, Oblivious, Observation, Recurrent};
+pub use dynamics::{
+    AdaptiveFn, Capturing, Dynamics, EdgeProbe, Oblivious, Observation, Recurrent, Streamed,
+};
 pub use error::EngineError;
 pub use robot::{RobotId, RobotPlacement, RobotSnapshot};
-pub use simulator::Simulator;
+pub use simulator::{CoverTracker, Simulator};
 pub use ssync::{ActivationPolicy, BatchActivation, EveryKth, FullActivation, RoundRobinSingle};
 pub use trace::{ExecutionTrace, RobotRound, RoundRecord, Tower};
 pub use view::{View, ViewWords};

@@ -37,6 +37,104 @@ where
     }
 }
 
+/// The first-cover rule of [`crate::BatchCoverage`] for one run: the first
+/// time at which every node has been occupied at least once, the starting
+/// configuration included (as in [`crate::ExecutionTrace`]).
+#[derive(Debug, Clone)]
+pub struct CoverTracker {
+    seen: Vec<bool>,
+    missing: usize,
+    first_cover: Option<Time>,
+}
+
+impl CoverTracker {
+    /// A tracker over `node_count` nodes, none visited yet.
+    pub fn new(node_count: usize) -> Self {
+        CoverTracker {
+            seen: vec![false; node_count],
+            missing: node_count,
+            first_cover: None,
+        }
+    }
+
+    /// Folds the configuration at time `t` (call with increasing `t`,
+    /// starting at 0); returns whether every node has now been visited.
+    pub fn observe(&mut self, t: Time, positions: impl IntoIterator<Item = NodeId>) -> bool {
+        for p in positions {
+            let seen = &mut self.seen[p.index()];
+            if !*seen {
+                *seen = true;
+                self.missing -= 1;
+                if self.missing == 0 {
+                    self.first_cover = Some(t);
+                }
+            }
+        }
+        self.missing == 0
+    }
+
+    /// Time of the first complete cover, if it happened.
+    pub fn first_cover(&self) -> Option<Time> {
+        self.first_cover
+    }
+}
+
+/// The well-initiated checks of §2.4, shared by [`Simulator`] and
+/// [`crate::async_exec::AsyncSimulator`]: strictly fewer robots than
+/// nodes, on distinct nodes of the ring. [`check_setup`] follows.
+pub(crate) fn check_well_initiated(
+    ring: &RingTopology,
+    placements: &[RobotPlacement],
+) -> Result<(), EngineError> {
+    let nodes = ring.node_count();
+    if placements.len() >= nodes {
+        return Err(EngineError::TooManyRobots {
+            robots: placements.len(),
+            nodes,
+        });
+    }
+    let mut seen = vec![false; nodes];
+    for p in placements {
+        if !ring.contains_node(p.node) {
+            return Err(EngineError::NodeOutOfRange {
+                node: p.node,
+                nodes,
+            });
+        }
+        if seen[p.node.index()] {
+            return Err(EngineError::InitialTower { node: p.node });
+        }
+        seen[p.node.index()] = true;
+    }
+    Ok(())
+}
+
+/// The checks every setup needs: a non-empty team on nodes of the ring,
+/// which the dynamics (`driven`) must also drive.
+pub(crate) fn check_setup(
+    ring: &RingTopology,
+    driven: &RingTopology,
+    placements: &[RobotPlacement],
+) -> Result<(), EngineError> {
+    let nodes = ring.node_count();
+    if placements.is_empty() {
+        return Err(EngineError::NoRobots);
+    }
+    if driven.node_count() != nodes {
+        return Err(EngineError::RingMismatch {
+            expected: nodes,
+            found: driven.node_count(),
+        });
+    }
+    match placements.iter().find(|p| !ring.contains_node(p.node)) {
+        Some(p) => Err(EngineError::NodeOutOfRange {
+            node: p.node,
+            nodes,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// One robot's live data inside the simulator.
 #[derive(Debug, Clone)]
 struct RobotCore<S> {
@@ -106,25 +204,7 @@ impl<A: Algorithm, D: Dynamics> Simulator<A, D> {
         dynamics: D,
         placements: Vec<RobotPlacement>,
     ) -> Result<Self, EngineError> {
-        if placements.len() >= ring.node_count() {
-            return Err(EngineError::TooManyRobots {
-                robots: placements.len(),
-                nodes: ring.node_count(),
-            });
-        }
-        let mut seen = vec![false; ring.node_count()];
-        for p in &placements {
-            if !ring.contains_node(p.node) {
-                return Err(EngineError::NodeOutOfRange {
-                    node: p.node,
-                    nodes: ring.node_count(),
-                });
-            }
-            if seen[p.node.index()] {
-                return Err(EngineError::InitialTower { node: p.node });
-            }
-            seen[p.node.index()] = true;
-        }
+        check_well_initiated(&ring, &placements)?;
         Self::new_arbitrary(ring, algorithm, dynamics, placements)
     }
 
@@ -142,23 +222,7 @@ impl<A: Algorithm, D: Dynamics> Simulator<A, D> {
         dynamics: D,
         placements: Vec<RobotPlacement>,
     ) -> Result<Self, EngineError> {
-        if placements.is_empty() {
-            return Err(EngineError::NoRobots);
-        }
-        if dynamics.ring().node_count() != ring.node_count() {
-            return Err(EngineError::RingMismatch {
-                expected: ring.node_count(),
-                found: dynamics.ring().node_count(),
-            });
-        }
-        for p in &placements {
-            if !ring.contains_node(p.node) {
-                return Err(EngineError::NodeOutOfRange {
-                    node: p.node,
-                    nodes: ring.node_count(),
-                });
-            }
-        }
+        check_setup(&ring, dynamics.ring(), &placements)?;
         let robots = placements
             .iter()
             .enumerate()
@@ -226,7 +290,12 @@ impl<A: Algorithm, D: Dynamics> Simulator<A, D> {
 
     /// Current positions, in robot-id order.
     pub fn positions(&self) -> Vec<NodeId> {
-        self.robots.iter().map(|r| r.node).collect()
+        self.positions_iter().collect()
+    }
+
+    /// Current positions, in robot-id order, without allocating.
+    pub fn positions_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.robots.iter().map(|r| r.node)
     }
 
     /// Snapshot of every robot in the current configuration.
@@ -952,5 +1021,23 @@ mod tests {
             vec![RobotPlacement::at(NodeId::new(0)).with_chirality(Chirality::Mirrored)],
         );
         assert_eq!(sim.global_dir_of(RobotId::new(0)), GlobalDir::Clockwise);
+    }
+
+    #[test]
+    fn cover_tracker_first_cover_is_the_time_the_last_node_is_reached() {
+        let mut cover = CoverTracker::new(3);
+        assert!(!cover.observe(0, [NodeId::new(0)]));
+        assert!(!cover.observe(1, [NodeId::new(1), NodeId::new(1)]));
+        assert_eq!(cover.first_cover(), None);
+        assert!(cover.observe(2, [NodeId::new(2)]));
+        assert!(cover.observe(3, [NodeId::new(0)]));
+        assert_eq!(cover.first_cover(), Some(2));
+    }
+
+    #[test]
+    fn cover_tracker_counts_a_spread_start_as_covered_at_time_zero() {
+        let mut cover = CoverTracker::new(2);
+        assert!(cover.observe(0, [NodeId::new(1), NodeId::new(0)]));
+        assert_eq!(cover.first_cover(), Some(0));
     }
 }

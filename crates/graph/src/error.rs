@@ -58,6 +58,18 @@ pub enum GraphError {
     },
 }
 
+impl GraphError {
+    /// `Ok` for a probability in `[0, 1]`, [`GraphError::InvalidProbability`]
+    /// otherwise.
+    pub(crate) fn check_probability(p: f64) -> Result<(), GraphError> {
+        if (0.0..=1.0).contains(&p) {
+            Ok(())
+        } else {
+            Err(GraphError::InvalidProbability { value: p })
+        }
+    }
+}
+
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

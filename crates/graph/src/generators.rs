@@ -1,9 +1,12 @@
-//! Generators for finite-horizon evolving-ring dynamics.
+//! Generators for evolving-ring dynamics.
 //!
-//! All generators are deterministic given a seed and produce
-//! [`ScriptedSchedule`]s, so every experiment in the repository is exactly
-//! reproducible. The repair pass [`enforce_recurrence`] upgrades any finite
-//! script into one with a *hard* per-edge recurrence bound, which is what the
+//! All generators are deterministic given a seed. Each random generator is
+//! a [`FrameStream`]: frame `t` is drawn only when it is asked for, so a run
+//! that stops at round `t` pays for `t` frames, not a horizon's worth. The
+//! [`ScriptedSchedule`] generators collect their first `horizon` frames
+//! from the same streams, so both forms are bit-identical over the script.
+//! The repair step [`RecurrenceRepair`] upgrades any frame sequence, online,
+//! into one with a *hard* per-edge recurrence bound, which is what the
 //! finite-horizon connected-over-time certificates in [`crate::classes`]
 //! check for.
 
@@ -13,6 +16,105 @@ use rand::{RngExt, SeedableRng};
 use crate::{
     EdgeId, EdgeSchedule, EdgeSet, GraphError, RingTopology, ScriptedSchedule, TailBehavior, Time,
 };
+
+/// A schedule drawn one frame at a time, in time order.
+pub trait FrameStream {
+    /// The ring whose edges the stream drives.
+    fn ring(&self) -> &RingTopology;
+
+    /// Writes the next frame into `out`, re-targeted to the ring's universe.
+    fn next_frame(&mut self, out: &mut EdgeSet);
+}
+
+/// A [`FrameStream`] whose state lives in a closure that adds the next
+/// frame's present edges to a cleared set.
+struct FnStream<F> {
+    ring: RingTopology,
+    next: F,
+}
+
+impl<F: FnMut(&RingTopology, &mut EdgeSet)> FrameStream for FnStream<F> {
+    fn ring(&self) -> &RingTopology {
+        &self.ring
+    }
+
+    fn next_frame(&mut self, out: &mut EdgeSet) {
+        out.reset(self.ring.edge_count());
+        (self.next)(&self.ring, out);
+    }
+}
+
+fn stream<F: FnMut(&RingTopology, &mut EdgeSet)>(ring: &RingTopology, next: F) -> FnStream<F> {
+    FnStream {
+        ring: ring.clone(),
+        next,
+    }
+}
+
+/// The first `horizon` frames of `stream`, then `tail`.
+fn script(mut stream: impl FrameStream, horizon: Time, tail: TailBehavior) -> ScriptedSchedule {
+    let frames = (0..horizon)
+        .map(|_| {
+            let mut frame = EdgeSet::empty_for(stream.ring());
+            stream.next_frame(&mut frame);
+            frame
+        })
+        .collect();
+    ScriptedSchedule::new(stream.ring().clone(), frames, tail).expect("frames built for this ring")
+}
+
+/// The online recurrence-repair step: no edge (except `exempt`) stays
+/// absent for `bound` or more consecutive frames. Whenever an edge has
+/// been absent for `bound - 1` frames, it is forced present in the next.
+///
+/// The leading window counts: an edge absent since the first frame is
+/// forced present at frame `bound - 1` at the latest.
+#[derive(Debug, Clone)]
+pub struct RecurrenceRepair {
+    bound: Time,
+    exempt: Option<EdgeId>,
+    absent_run: Vec<Time>,
+}
+
+impl RecurrenceRepair {
+    /// A fresh repair over `edges` edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `bound == 0` or when `exempt` is not one of the edges.
+    pub fn new(edges: usize, bound: Time, exempt: Option<EdgeId>) -> Self {
+        assert!(bound >= 1, "recurrence bound must be at least 1");
+        if let Some(e) = exempt {
+            assert!(
+                e.index() < edges,
+                "exempt edge {e} outside a ring of {edges} edges"
+            );
+        }
+        RecurrenceRepair {
+            bound,
+            exempt,
+            absent_run: vec![0; edges],
+        }
+    }
+
+    /// Repairs the next frame in place.
+    pub fn apply(&mut self, frame: &mut EdgeSet) {
+        for (index, run) in self.absent_run.iter_mut().enumerate() {
+            let e = EdgeId::new(index);
+            if Some(e) == self.exempt {
+                continue;
+            }
+            if frame.contains(e) {
+                *run = 0;
+            } else if *run + 1 >= self.bound {
+                frame.insert(e);
+                *run = 0;
+            } else {
+                *run += 1;
+            }
+        }
+    }
+}
 
 /// Configuration for [`random_connected_over_time`].
 #[derive(Debug, Clone, PartialEq)]
@@ -37,12 +139,52 @@ impl Default for RandomCotConfig {
     }
 }
 
+/// The stream behind [`random_connected_over_time`]: per frame, Bernoulli
+/// presence drawn edge by edge, then the [`RecurrenceRepair`] step (the
+/// missing edge exempt), then the eventual missing edge removed from its
+/// kill time on.
+///
+/// # Errors
+///
+/// Returns [`GraphError::InvalidProbability`] for a bad probability and
+/// [`GraphError::EdgeOutOfRange`] for a bad missing edge.
+pub fn random_cot_stream(
+    ring: &RingTopology,
+    config: &RandomCotConfig,
+    seed: u64,
+) -> Result<impl FrameStream, GraphError> {
+    let p = config.presence_probability;
+    GraphError::check_probability(p)?;
+    let missing = config.eventual_missing;
+    if let Some((edge, _)) = missing {
+        ring.check_edge(edge)?;
+    }
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let exempt = missing.map(|(edge, _)| edge);
+    let mut repair = RecurrenceRepair::new(ring.edge_count(), config.recurrence_bound, exempt);
+    let mut t: Time = 0;
+    Ok(stream(ring, move |ring, out| {
+        for e in ring.edges() {
+            if rng.random_bool(p) {
+                out.insert(e);
+            }
+        }
+        repair.apply(out);
+        if let Some((edge, from)) = missing {
+            if t >= from {
+                out.remove(edge);
+            }
+        }
+        t += 1;
+    }))
+}
+
 /// Generates a random connected-over-time ring schedule over
-/// `[0, horizon)`:
-/// Bernoulli presence, then a recurrence repair pass, then (optionally) one
-/// eventual missing edge. The tail behaviour is [`TailBehavior::Cycle`] with
-/// the eventual missing edge re-applied, so the *infinite* schedule is
-/// genuinely connected-over-time.
+/// `[0, horizon)`: the first `horizon` frames of [`random_cot_stream`]
+/// (Bernoulli presence, recurrence repair, optional eventual missing
+/// edge). The tail behaviour is [`TailBehavior::Cycle`] with the eventual
+/// missing edge re-applied, so the *infinite* schedule is genuinely
+/// connected-over-time.
 ///
 /// # Errors
 ///
@@ -54,35 +196,11 @@ pub fn random_connected_over_time(
     config: &RandomCotConfig,
     seed: u64,
 ) -> Result<ScriptedSchedule, GraphError> {
-    if !(0.0..=1.0).contains(&config.presence_probability) {
-        return Err(GraphError::InvalidProbability {
-            value: config.presence_probability,
-        });
-    }
-    if let Some((edge, _)) = config.eventual_missing {
-        ring.check_edge(edge)?;
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut frames: Vec<EdgeSet> = Vec::with_capacity(horizon as usize);
-    for _ in 0..horizon {
-        let mut set = EdgeSet::empty_for(ring);
-        for e in ring.edges() {
-            if rng.random_bool(config.presence_probability) {
-                set.insert(e);
-            }
-        }
-        frames.push(set);
-    }
-    let exempt = config.eventual_missing.map(|(e, _)| e);
-    let mut frames = repair_recurrence(ring, frames, config.recurrence_bound, exempt);
-    if let Some((edge, from)) = config.eventual_missing {
-        for (t, frame) in frames.iter_mut().enumerate() {
-            if t as Time >= from {
-                frame.remove(edge);
-            }
-        }
-    }
-    let mut script = ScriptedSchedule::new(ring.clone(), frames, TailBehavior::Cycle)?;
+    let mut script = script(
+        random_cot_stream(ring, config, seed)?,
+        horizon,
+        TailBehavior::Cycle,
+    );
     if let Some((edge, _)) = config.eventual_missing {
         // Cycling would resurrect the missing edge; holding an explicit tail
         // frame keeps it dead while every other edge stays present forever.
@@ -94,12 +212,44 @@ pub fn random_connected_over_time(
     Ok(script)
 }
 
-/// Markov on/off dynamics: each edge is an independent two-state chain.
+/// Markov on/off dynamics as a stream: each edge is an independent
+/// two-state chain, every edge present at the start.
 ///
 /// `p_off` is the probability that a present edge disappears at the next
 /// instant; `p_on` the probability that an absent edge reappears. High
 /// `1 - p_off` models *stable* links (long presence runs), low `p_on` models
 /// long outages.
+///
+/// # Errors
+///
+/// Returns [`GraphError::InvalidProbability`] unless both probabilities are
+/// within `[0, 1]`.
+pub fn markov_stream(
+    ring: &RingTopology,
+    p_off: f64,
+    p_on: f64,
+    seed: u64,
+) -> Result<impl FrameStream, GraphError> {
+    GraphError::check_probability(p_off)?;
+    GraphError::check_probability(p_on)?;
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut state = vec![true; ring.edge_count()];
+    Ok(stream(ring, move |_, out| {
+        for (i, on) in state.iter_mut().enumerate() {
+            if *on {
+                out.insert(EdgeId::new(i));
+                if rng.random_bool(p_off) {
+                    *on = false;
+                }
+            } else if rng.random_bool(p_on) {
+                *on = true;
+            }
+        }
+    }))
+}
+
+/// The first `horizon` frames of [`markov_stream`], all edges present
+/// afterwards.
 ///
 /// # Errors
 ///
@@ -112,117 +262,70 @@ pub fn markov_on_off(
     p_on: f64,
     seed: u64,
 ) -> Result<ScriptedSchedule, GraphError> {
-    for p in [p_off, p_on] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(GraphError::InvalidProbability { value: p });
-        }
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut state = vec![true; ring.edge_count()];
-    let mut frames = Vec::with_capacity(horizon as usize);
-    for _ in 0..horizon {
-        let mut set = EdgeSet::empty_for(ring);
-        for (i, on) in state.iter_mut().enumerate() {
-            if *on {
-                set.insert(EdgeId::new(i));
-                if rng.random_bool(p_off) {
-                    *on = false;
-                }
-            } else if rng.random_bool(p_on) {
-                *on = true;
-            }
-        }
-        frames.push(set);
-    }
-    ScriptedSchedule::new(ring.clone(), frames, TailBehavior::AllPresent)
+    Ok(script(
+        markov_stream(ring, p_off, p_on, seed)?,
+        horizon,
+        TailBehavior::AllPresent,
+    ))
 }
 
-/// Repairs `frames` so that no edge (except `exempt`) stays absent for
-/// `bound` or more consecutive frames: whenever an edge has been absent for
-/// `bound - 1` frames, it is forced present in the next one.
-///
-/// The leading window counts: an edge absent since frame 0 is forced present
-/// at frame `bound - 1` at the latest.
-pub fn repair_recurrence(
-    ring: &RingTopology,
-    mut frames: Vec<EdgeSet>,
-    bound: Time,
-    exempt: Option<EdgeId>,
-) -> Vec<EdgeSet> {
-    assert!(bound >= 1, "recurrence bound must be at least 1");
-    let mut absent_run = vec![0u64; ring.edge_count()];
-    for frame in &mut frames {
-        for e in ring.edges() {
-            if Some(e) == exempt {
-                continue;
-            }
-            if frame.contains(e) {
-                absent_run[e.index()] = 0;
-            } else if absent_run[e.index()] + 1 >= bound {
-                frame.insert(e);
-                absent_run[e.index()] = 0;
-            } else {
-                absent_run[e.index()] += 1;
-            }
-        }
-    }
-    frames
-}
-
-/// Convenience wrapper: captures any schedule over `[0, horizon)` and
-/// repairs it to a hard recurrence bound.
+/// Captures any schedule over `[0, horizon)` and repairs it, frame by
+/// frame, to a hard recurrence bound ([`RecurrenceRepair`]).
 pub fn enforce_recurrence<S: EdgeSchedule>(
     schedule: &S,
     horizon: Time,
     bound: Time,
     exempt: Option<EdgeId>,
 ) -> ScriptedSchedule {
-    let captured = ScriptedSchedule::capture(schedule, horizon, TailBehavior::AllPresent);
-    let frames = repair_recurrence(schedule.ring(), captured.frames().to_vec(), bound, exempt);
-    ScriptedSchedule::new(schedule.ring().clone(), frames, TailBehavior::AllPresent)
-        .expect("frames originate from the same ring")
+    let mut repair = RecurrenceRepair::new(schedule.ring().edge_count(), bound, exempt);
+    let mut t = 0;
+    let repaired = stream(schedule.ring(), |_, out| {
+        schedule.edges_at_into(t, out);
+        repair.apply(out);
+        t += 1;
+    });
+    script(repaired, horizon, TailBehavior::AllPresent)
 }
 
-/// Generates a *T-interval-connected* ring schedule (Kuhn–Lynch–Oshman
-/// class, as used by Ilcinkas–Wade for rings): at every instant at most one
-/// edge is absent, and the absent edge changes only after at least
-/// `stability` instants during which the full ring is present, so the
-/// intersection of any window of `stability + 1` consecutive snapshots is
-/// connected.
+/// A *T-interval-connected* ring stream (Kuhn–Lynch–Oshman class, as used
+/// by Ilcinkas–Wade for rings): at every instant at most one edge is
+/// absent, and the absent edge changes only after at least `stability`
+/// instants during which the full ring is present, so the intersection of
+/// any window of `stability + 1` consecutive snapshots is connected.
+pub fn t_interval_stream(ring: &RingTopology, stability: Time, seed: u64) -> impl FrameStream {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (mut victim, mut outage_left, mut cooldown_left) = (EdgeId::new(0), 0, 0);
+    stream(ring, move |ring, out| {
+        if outage_left == 0 && cooldown_left == 0 {
+            // Pick an edge to suppress for a while, then a full-ring
+            // cool-down so window intersections stay connected.
+            victim = EdgeId::new(rng.random_range(0..ring.edge_count()));
+            outage_left = rng.random_range(1..=stability.max(1));
+            cooldown_left = stability;
+        }
+        out.fill();
+        if outage_left > 0 {
+            out.remove(victim);
+            outage_left -= 1;
+        } else {
+            cooldown_left -= 1;
+        }
+    })
+}
+
+/// The first `horizon` frames of [`t_interval_stream`], all edges present
+/// afterwards.
 pub fn t_interval_connected(
     ring: &RingTopology,
     horizon: Time,
     stability: Time,
     seed: u64,
 ) -> ScriptedSchedule {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut frames = Vec::with_capacity(horizon as usize);
-    let mut t = 0;
-    while (frames.len() as Time) < horizon {
-        // Pick an edge to suppress for a while.
-        let victim = EdgeId::new(rng.random_range(0..ring.edge_count()));
-        let outage = rng.random_range(1..=stability.max(1));
-        for _ in 0..outage {
-            if frames.len() as Time >= horizon {
-                break;
-            }
-            let mut set = EdgeSet::full_for(ring);
-            set.remove(victim);
-            frames.push(set);
-            t += 1;
-        }
-        // Full-ring cool-down so window intersections stay connected.
-        for _ in 0..stability {
-            if frames.len() as Time >= horizon {
-                break;
-            }
-            frames.push(EdgeSet::full_for(ring));
-            t += 1;
-        }
-    }
-    let _ = t;
-    ScriptedSchedule::new(ring.clone(), frames, TailBehavior::AllPresent)
-        .expect("frames built for this ring")
+    script(
+        t_interval_stream(ring, stability, seed),
+        horizon,
+        TailBehavior::AllPresent,
+    )
 }
 
 /// A deterministic "sweeping outage": edge `t / dwell mod n` is absent at
@@ -313,6 +416,18 @@ mod tests {
             }
         }
         assert!(best >= 5, "longest run {best}");
+    }
+
+    /// `frames` repaired in order by one [`RecurrenceRepair`].
+    fn repair_recurrence(
+        r: &RingTopology,
+        mut frames: Vec<EdgeSet>,
+        bound: Time,
+        exempt: Option<EdgeId>,
+    ) -> Vec<EdgeSet> {
+        let mut repair = RecurrenceRepair::new(r.edge_count(), bound, exempt);
+        frames.iter_mut().for_each(|frame| repair.apply(frame));
+        frames
     }
 
     #[test]

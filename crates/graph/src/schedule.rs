@@ -961,9 +961,7 @@ impl BernoulliSchedule {
     ///
     /// Returns [`GraphError::InvalidProbability`] unless `0 ≤ p ≤ 1`.
     pub fn new(ring: RingTopology, p: f64, seed: u64) -> Result<Self, GraphError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(GraphError::InvalidProbability { value: p });
-        }
+        GraphError::check_probability(p)?;
         Ok(BernoulliSchedule {
             ring,
             presence_probability: p,
@@ -1135,9 +1133,7 @@ impl BernoulliReplicas {
     ///
     /// Returns [`GraphError::InvalidProbability`] unless `0 ≤ p ≤ 1`.
     pub fn new(ring: RingTopology, p: f64, seed: u64) -> Result<Self, GraphError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(GraphError::InvalidProbability { value: p });
-        }
+        GraphError::check_probability(p)?;
         Ok(BernoulliReplicas {
             ring,
             presence_probability: p,

@@ -116,6 +116,16 @@ campaign-smoke:
     cargo run --release -- campaign report --spec examples/campaign_smoke.json --store target/campaign-smoke.jsonl --out target/campaign-smoke-report.json
     cmp target/campaign-smoke-report.json examples/campaign_smoke_report.json
 
+# CI gate for the serial first-cover kernel (see docs/CAMPAIGNS.md): the
+# committed 1,728-unit serial-equivalence spec (whole portfolio × every
+# serial-routed dynamics class × FSYNC/SSYNC) must seal to the chain head
+# the recording harness produced, and its store must certify at level 2.
+serial-equivalence:
+    cargo test --release -q --test serial_equivalence
+    rm -f target/serial-equivalence.jsonl
+    cargo run --release -- campaign run --spec examples/serial_equivalence.json --store target/serial-equivalence.jsonl
+    cargo run --release -- certify target/serial-equivalence.jsonl --spec examples/serial_equivalence.json --level 2 --sample 32 --seed 7
+
 # CI gate for the observability layer (see docs/OBSERVABILITY.md): run
 # the smoke spec with --metrics-out, check the store is byte-identical
 # to a plain run and still certifies at level 2, check the snapshot
