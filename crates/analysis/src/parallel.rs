@@ -14,12 +14,17 @@
 //! - every scenario still runs with its own seed, so reports are
 //!   bit-for-bit those of [`run_scenario`].
 //!
-//! [`par_map`] underlies the batch runner and is reused by the Table 1
-//! grid; [`coverage_matrix`] runs the full algorithm portfolio × benign
-//! dynamics suite as one parallel batch.
+//! The fan-out lives in one place, [`stream_map`]: `workers` threads,
+//! spawned once, pull items in input order at most [`STREAM_WINDOW`]
+//! items ahead of a consumer that sees every result in input order.
+//! [`par_map`] is a collect over it and underlies the batch runner, the
+//! Monte Carlo groups and the Table 1 grid; the campaign runner consumes
+//! the stream directly, appending records while later units still
+//! execute. [`coverage_matrix`] runs the full algorithm portfolio ×
+//! benign dynamics suite as one parallel batch.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 use std::thread;
 
 use serde::{Deserialize, Serialize};
@@ -36,48 +41,169 @@ pub fn available_workers() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Applies `f` to every item on a scoped thread pool, returning results in
-/// input order. With `workers <= 1` this degenerates to a plain serial
-/// map (no threads spawned), which is also the reference for determinism
-/// tests.
+/// How far [`stream_map`] lets workers run ahead of its consumer: at
+/// most this many items are issued but not yet consumed. 256 campaign
+/// results buffer about 0.15 MB, and the window is wide enough that one
+/// slow unit at the head (a 2 ms generated-dynamics unit among 10 µs
+/// ones) does not starve the other workers.
+pub const STREAM_WINDOW: usize = 256;
+
+/// Applies `f` to every item on `workers` threads spawned once, and hands
+/// each result to `consume` on the calling thread in input order, as soon
+/// as it and every earlier result are ready.
+///
+/// - At most [`STREAM_WINDOW`] items are in flight (issued to a worker
+///   but not yet consumed), however long one item holds up the head.
+/// - When `consume` returns an error, no further item is issued; the
+///   error is returned once the workers have stopped.
+/// - A panic in `f` is caught on its worker and resumed on the calling
+///   thread at that item's turn, after every earlier item was consumed,
+///   so a panicking item panics the caller and never hangs it.
+///
+/// With `workers <= 1` this degenerates to a plain serial loop (`f`, then
+/// `consume`, item by item, no threads spawned), which is also the
+/// reference for determinism tests.
+///
+/// # Errors
+///
+/// The first error `consume` returns.
+pub fn stream_map<T, R, E, F, C>(items: &[T], workers: usize, f: F, mut consume: C) -> Result<(), E>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    C: FnMut(R) -> Result<(), E>,
+{
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        for item in items {
+            consume(f(item))?;
+        }
+        return Ok(());
+    }
+    let window = STREAM_WINDOW.min(items.len());
+    let gate = Gate::new(items.len(), window);
+    thread::scope(|scope| {
+        let (tx, rx) = mpsc::channel::<(usize, thread::Result<R>)>();
+        for _ in 0..workers {
+            let (tx, gate, f) = (tx.clone(), &gate, &f);
+            scope.spawn(move || {
+                while let Some(index) = gate.issue() {
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| f(&items[index])));
+                    let panicked = result.is_err();
+                    if tx.send((index, result)).is_err() || panicked {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        // Every way out of the committer loop — done, a consumer error,
+        // a resumed panic — stops the workers before the scope joins them.
+        let _stop = StopOnDrop(&gate);
+        let mut slots: Vec<Option<thread::Result<R>>> = (0..window).map(|_| None).collect();
+        let mut next = 0;
+        while next < items.len() {
+            // Items are issued in order, so every item before a panicked
+            // one was issued and will arrive: the channel cannot run dry
+            // before `next` reaches a result or a panic.
+            let (index, result) = rx.recv().expect("every issued item reports back");
+            slots[index % window] = Some(result);
+            while let Some(result) = slots[next % window].take() {
+                match result {
+                    Ok(value) => consume(value)?,
+                    Err(payload) => panic::resume_unwind(payload),
+                }
+                next += 1;
+                gate.consumed(next);
+            }
+        }
+        Ok(())
+    })
+}
+
+/// The issuing side of [`stream_map`]: hands out indices in order, never
+/// `window` or more past the consumed count, until stopped.
+struct Gate {
+    state: Mutex<GateState>,
+    wake: Condvar,
+    len: usize,
+    window: usize,
+}
+
+/// Every update is a single field write and nothing under the lock can
+/// panic, so the state behind a poisoned lock is still valid.
+struct GateState {
+    next: usize,
+    limit: usize,
+    stopped: bool,
+}
+
+impl Gate {
+    fn new(len: usize, window: usize) -> Self {
+        Gate {
+            state: Mutex::new(GateState { next: 0, limit: window, stopped: false }),
+            wake: Condvar::new(),
+            len,
+            window,
+        }
+    }
+
+    /// The next index to execute, waiting while the window is full;
+    /// `None` once every index is issued or the gate is stopped.
+    fn issue(&self) -> Option<usize> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if state.stopped || state.next >= self.len {
+                return None;
+            }
+            if state.next < state.limit {
+                state.next += 1;
+                return Some(state.next - 1);
+            }
+            state = self.wake.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Slides the window once `consumed` items are consumed. Workers wait
+    /// only on a full window, so only a full window wakes them (all of
+    /// them: each slide frees one more index, and a single wake could
+    /// leave a second waiter asleep beside free indices).
+    fn consumed(&self, consumed: usize) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let was_full = state.next >= state.limit;
+        state.limit = consumed + self.window;
+        drop(state);
+        if was_full {
+            self.wake.notify_all();
+        }
+    }
+}
+
+struct StopOnDrop<'a>(&'a Gate);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().unwrap_or_else(PoisonError::into_inner).stopped = true;
+        self.0.wake.notify_all();
+    }
+}
+
+/// Applies `f` to every item on a thread pool, returning results in input
+/// order: a collect over [`stream_map`], so `workers <= 1` is the same
+/// plain serial map.
 pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= items.len() {
-                    break;
-                }
-                let result = f(&items[index]);
-                if tx.send((index, result)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        for (index, result) in rx {
-            slots[index] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every item produced a result"))
-            .collect()
-    })
+    let mut out = Vec::with_capacity(items.len());
+    let Ok(()) = stream_map(items, workers, f, |r| {
+        out.push(r);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    out
 }
 
 /// Runs a batch of scenarios across all cores.
@@ -272,9 +398,143 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let doubled = par_map(&items, 8, |&x| x * 2);
-        assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+        let items: Vec<usize> = (0..ITEMS).collect();
+        for workers in [1usize, 2, 4, 8] {
+            let doubled = par_map(&items, workers, |&x| {
+                uneven(x);
+                x * 2
+            });
+            let expected: Vec<usize> = items.iter().map(|x| x * 2).collect();
+            assert_eq!(doubled, expected, "workers = {workers}");
+        }
+    }
+
+    /// A per-item cost that varies with the index, so workers finish out
+    /// of order: every seventh item sleeps, and the head sleeps longest.
+    fn uneven(index: usize) {
+        if index.is_multiple_of(7) {
+            let micros = if index == 0 { 3000 } else { 200 };
+            std::thread::sleep(std::time::Duration::from_micros(micros));
+        }
+    }
+
+    /// Runs `f` on its own thread and returns what it returned, failing
+    /// the test if `f` has not finished within a minute: a stopped stream
+    /// must never leave the caller waiting on its workers.
+    fn never_hangs<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || tx.send(f()));
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("{what}: the caller did not return ({e})"));
+        handle.join().expect("the caller's thread finished").expect("the result was received");
+        out
+    }
+
+    /// More items than the window, so the window binds.
+    const ITEMS: usize = 4 * STREAM_WINDOW;
+
+    #[test]
+    fn stream_map_keeps_in_flight_items_within_the_window() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let items: Vec<usize> = (0..ITEMS).collect();
+        for workers in [1usize, 2, 4, 8] {
+            let issued = AtomicUsize::new(0);
+            let consumed = AtomicUsize::new(0);
+            let peak = AtomicUsize::new(0);
+            let done: Result<(), ()> = stream_map(
+                &items,
+                workers,
+                |&x| {
+                    let now = issued.fetch_add(1, SeqCst) + 1;
+                    peak.fetch_max(now - consumed.load(SeqCst), SeqCst);
+                    // A slow head: the other workers run ahead until the
+                    // window is full.
+                    if x == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                    }
+                },
+                |()| {
+                    consumed.fetch_add(1, SeqCst);
+                    Ok(())
+                },
+            );
+            assert_eq!(done, Ok(()));
+            assert_eq!(issued.load(SeqCst), items.len());
+            let peak = peak.load(SeqCst);
+            assert!(
+                peak <= STREAM_WINDOW,
+                "workers = {workers}: {peak} items in flight, window {STREAM_WINDOW}"
+            );
+        }
+    }
+
+    #[test]
+    fn stream_map_consumer_error_stops_issuing() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let fail_at = 10;
+        for workers in [1usize, 2, 4, 8] {
+            let (done, calls) = never_hangs(&format!("workers = {workers}"), move || {
+                let items: Vec<usize> = (0..ITEMS).collect();
+                let calls = AtomicUsize::new(0);
+                let done = stream_map(
+                    &items,
+                    workers,
+                    |&x| {
+                        calls.fetch_add(1, SeqCst);
+                        // Item `fail_at` fails last in wall time, after a
+                        // later failing item: the first by index still wins.
+                        if x == fail_at {
+                            std::thread::sleep(std::time::Duration::from_millis(5));
+                        }
+                        if x == fail_at || x == fail_at + 2 { Err(x) } else { Ok(()) }
+                    },
+                    |result| result,
+                );
+                (done, calls.load(SeqCst))
+            });
+            assert_eq!(done, Err(fail_at), "workers = {workers}");
+            // While the consumer handled item `fail_at`, at most a window
+            // of items past the consumed ones was issued; none after.
+            assert!(
+                calls <= fail_at + STREAM_WINDOW,
+                "workers = {workers}: {calls} items issued"
+            );
+            if workers == 1 {
+                assert_eq!(calls, fail_at + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn stream_map_panic_in_f_panics_the_caller_and_never_hangs_it() {
+        let panic_at = 37;
+        for workers in [1usize, 2, 4, 8] {
+            let (message, seen) = never_hangs(&format!("workers = {workers}"), move || {
+                let items: Vec<usize> = (0..ITEMS).collect();
+                let mut seen = Vec::new();
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                    stream_map(
+                        &items,
+                        workers,
+                        |&x| {
+                            uneven(x);
+                            assert!(x != panic_at, "unit {x} panics");
+                            x
+                        },
+                        |x| {
+                            seen.push(x);
+                            Ok::<(), ()>(())
+                        },
+                    )
+                }));
+                let message =
+                    outcome.err().and_then(|payload| payload.downcast_ref::<String>().cloned());
+                (message, seen)
+            });
+            assert_eq!(message.as_deref(), Some("unit 37 panics"), "workers = {workers}");
+            assert_eq!(seen, (0..panic_at).collect::<Vec<_>>(), "workers = {workers}");
+        }
     }
 
     #[test]

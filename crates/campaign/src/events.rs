@@ -80,7 +80,8 @@ pub enum Event {
     Wave {
         /// Units in the wave.
         units: usize,
-        /// Wall time of the wave in microseconds.
+        /// Wall time of the wave in microseconds: from the previous
+        /// store fsync (or the start of execution) to this one.
         wall_us: u64,
     },
     /// The invocation finished (cleanly or budget-capped).

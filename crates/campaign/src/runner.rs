@@ -1,20 +1,23 @@
-//! The campaign driver: plan → skip completed → shard pending units over
-//! threads → append records in plan order.
+//! The campaign driver: plan → skip completed → stream pending units
+//! through a worker pool → append records in plan order.
 //!
-//! Execution is wave-based: pending units are split into fixed chunks,
-//! each wave fans out over `workers` threads via
-//! [`dynring_analysis::parallel::par_map`] (which returns results in
-//! input order), and the wave's records are appended to the store in
-//! plan order before the next wave starts. An interruption therefore
-//! loses at most one wave of work, and the store is always a plan-order
-//! prefix — the invariant behind byte-exact resume. Because unit
-//! execution and routing are pure functions of the unit, the store bytes
-//! are identical for every `workers` value.
+//! One pool serves the whole run: `workers` threads, spawned once, pull
+//! pending units in plan order through
+//! [`dynring_analysis::parallel::stream_map`], at most
+//! [`STREAM_WINDOW`](dynring_analysis::parallel::STREAM_WINDOW) units
+//! ahead of the last appended record. The calling thread is the
+//! committer: it puts results back in plan order, appends each record,
+//! and fsyncs after every `wave_size` records while the workers keep
+//! executing. An interruption therefore loses at most
+//! one wave of work, even across a power cut, and the store is always a
+//! plan-order prefix — the invariant behind byte-exact resume. Because
+//! unit execution and routing are pure functions of the unit, the store
+//! bytes are identical for every `workers` value.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use dynring_analysis::parallel::{available_workers, par_map};
+use dynring_analysis::parallel::{available_workers, stream_map};
 use dynring_obs::{labeled, names};
 
 use crate::events::{Event, EventLedger, LedgerAppender, EVENTS_SCHEMA};
@@ -28,7 +31,9 @@ use crate::CampaignError;
 /// Knobs of one `run`/`resume` invocation.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Worker threads (`1` = serial; the default is one per core).
+    /// Worker threads (the default is one per core). `1` runs inline:
+    /// each unit executes on the calling thread just before its record
+    /// is appended, and no thread is spawned.
     pub workers: usize,
     /// Stop after this many newly executed units (`None` = run to
     /// completion). The CI smoke uses this to simulate an interruption.
@@ -236,16 +241,20 @@ pub fn run_campaign(
         }
         None => None,
     };
-    // Waves bound interruption loss; the wave size only shapes latency,
-    // never bytes (records are appended in plan order either way). Each
-    // wave is fsynced, so a power cut loses at most one wave.
+    // Waves bound interruption loss: the committer fsyncs after every
+    // `wave_size` records, so a power cut loses at most one wave. The wave
+    // size only shapes latency, never bytes (records are appended in plan
+    // order either way).
     let workers = opts.workers.max(1);
     let wave_size = (workers * 4).max(8);
+    let slow = opts.slow_unit.as_ref();
     let mut executed = 0usize;
-    for wave in pending[..budget].chunks(wave_size) {
-        let wave_start = Instant::now();
-        let slow = opts.slow_unit.as_ref();
-        let results = par_map(wave, workers, |planned| {
+    let mut synced = 0usize;
+    let mut wave_start = Instant::now();
+    stream_map(
+        &pending[..budget],
+        workers,
+        |planned| {
             let unit_start = Instant::now();
             // The injected delay counts as unit wall time: the whole
             // point of `slow-unit` is a unit that *measures* slow.
@@ -255,22 +264,30 @@ pub fn run_campaign(
                 }
             }
             (execute_unit(planned), unit_start.elapsed())
-        });
-        for (result, wall) in results {
+        },
+        |(result, wall)| {
             let record = result?;
             observe_unit(obs, ledger.as_mut(), &record, wall)?;
             appender.append_record(record)?;
             executed += 1;
-        }
-        appender.sync()?;
-        let wave_us = u64::try_from(wave_start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        obs.counter(names::CAMPAIGN_WAVES).inc();
-        obs.histogram(names::CAMPAIGN_WAVE_WALL_US).record(wave_us);
-        if let Some(app) = ledger.as_mut() {
-            app.append(Event::Wave { units: wave.len(), wall_us: wave_us })?;
-            app.sync()?;
-        }
-    }
+            if executed - synced < wave_size && executed < budget {
+                return Ok::<(), CampaignError>(());
+            }
+            appender.sync()?;
+            // A wave's wall time runs from the previous fsync to this one.
+            let now = Instant::now();
+            let wave_us = u64::try_from((now - wave_start).as_micros()).unwrap_or(u64::MAX);
+            wave_start = now;
+            obs.counter(names::CAMPAIGN_WAVES).inc();
+            obs.histogram(names::CAMPAIGN_WAVE_WALL_US).record(wave_us);
+            if let Some(app) = ledger.as_mut() {
+                app.append(Event::Wave { units: executed - synced, wall_us: wave_us })?;
+                app.sync()?;
+            }
+            synced = executed;
+            Ok(())
+        },
+    )?;
     if let Some(hash) = poisoned {
         return Err(CampaignError::InjectedFault(format!(
             "poison unit {hash} reached after {executed} units"
@@ -454,7 +471,7 @@ mod tests {
             &RunOptions { workers: 1, ..RunOptions::default() },
         )
         .expect("runs");
-        for workers in [2usize, 4, 8] {
+        for workers in [2usize, 3, 4, 8] {
             let parallel = temp(&format!("parallel{workers}"));
             run_campaign(
                 &spec,

@@ -697,9 +697,10 @@ impl StoreAppender {
         Ok(())
     }
 
-    /// Flushes written records to disk (`fdatasync`); the runner calls
-    /// this at every wave boundary so an interruption loses at most one
-    /// wave even across a power cut.
+    /// Flushes written records to disk (`fdatasync`). The runner's
+    /// committer calls this after every wave of records (`wave_size`
+    /// appends) while the workers keep executing later units, so an
+    /// interruption loses at most one wave even across a power cut.
     ///
     /// # Errors
     ///

@@ -46,40 +46,36 @@ fn remove(store: &ResultStore) {
     let _ = std::fs::remove_file(store.path());
 }
 
+/// Worker counts every crash-safety property runs under: inline, and a
+/// pool whose other workers still hold in-flight units when the fault
+/// fires on the committer.
+const WORKERS: [usize; 2] = [1, 3];
+
+fn opts(workers: usize, fresh: bool, fault: Option<FailPlan>) -> RunOptions {
+    RunOptions { workers, fresh, fault, ..RunOptions::default() }
+}
+
 /// The uninterrupted reference bytes for [`spec`] (serial, no faults).
 fn reference_bytes(tag: &str) -> Vec<u8> {
     let store = temp_store(tag);
-    run_campaign(
-        &spec(),
-        &store,
-        &RunOptions { workers: 1, max_units: None, fresh: true, fault: None, shard: None, poison: None, events: None, slow_unit: None },
-    )
-    .expect("reference campaign runs");
+    run_campaign(&spec(), &store, &opts(1, true, None)).expect("reference campaign runs");
     let bytes = std::fs::read(store.path()).expect("store readable");
     remove(&store);
     bytes
 }
 
-/// Runs with `fault` armed, then resumes without it; returns the faulted
-/// run's result and the final store bytes (when resume succeeded) or the
-/// resume error.
+/// Runs with `fault` armed on `workers` threads, then resumes without it;
+/// returns the faulted run's result and the final store bytes (when
+/// resume succeeded) or the resume error.
 fn run_faulted_then_resume(
     tag: &str,
     fault: FailPlan,
+    workers: usize,
 ) -> (Result<(), CampaignError>, Result<Vec<u8>, CampaignError>) {
-    let store = temp_store(tag);
-    let faulted = run_campaign(
-        &spec(),
-        &store,
-        &RunOptions { workers: 1, max_units: None, fresh: true, fault: Some(fault), shard: None, poison: None, events: None, slow_unit: None },
-    )
-    .map(|_| ());
-    let resumed = run_campaign(
-        &spec(),
-        &store,
-        &RunOptions { workers: 1, max_units: None, fresh: false, fault: None, shard: None, poison: None, events: None, slow_unit: None },
-    )
-    .map(|_| std::fs::read(store.path()).expect("store readable"));
+    let store = temp_store(&format!("{tag}_w{workers}"));
+    let faulted = run_campaign(&spec(), &store, &opts(workers, true, Some(fault))).map(|_| ());
+    let resumed = run_campaign(&spec(), &store, &opts(workers, false, None))
+        .map(|_| std::fs::read(store.path()).expect("store readable"));
     remove(&store);
     (faulted, resumed)
 }
@@ -93,32 +89,45 @@ proptest! {
     fn kill_at_any_byte_resumes_byte_identically(position in 0.0f64..1.0) {
         let expected = reference_bytes("kill_ref");
         let after_bytes = (expected.len() as f64 * position) as u64;
-        let (faulted, resumed) = run_faulted_then_resume(
-            &format!("kill_{after_bytes}"),
-            FailPlan::new(FaultKind::Kill { after_bytes }),
-        );
-        prop_assert!(
-            matches!(faulted, Err(CampaignError::InjectedFault(_))),
-            "a kill inside the written region must abort the run: {faulted:?}"
-        );
-        let bytes = resumed.expect("resume after a kill must succeed");
-        prop_assert_eq!(&bytes, &expected, "kill after {} bytes", after_bytes);
+        for workers in WORKERS {
+            let (faulted, resumed) = run_faulted_then_resume(
+                &format!("kill_{after_bytes}"),
+                FailPlan::new(FaultKind::Kill { after_bytes }),
+                workers,
+            );
+            prop_assert!(
+                matches!(faulted, Err(CampaignError::InjectedFault(_))),
+                "a kill inside the written region must abort the run: {faulted:?}"
+            );
+            let bytes = resumed.expect("resume after a kill must succeed");
+            prop_assert_eq!(&bytes, &expected, "kill after {} bytes, workers {}", after_bytes, workers);
+        }
     }
 
     /// A torn single-record write: same contract as a kill.
     #[test]
     fn torn_record_writes_resume_byte_identically(record in 0usize..4, keep in 0usize..200) {
         let expected = reference_bytes("torn_ref");
-        let (faulted, resumed) = run_faulted_then_resume(
-            &format!("torn_{record}_{keep}"),
-            FailPlan::new(FaultKind::TornRecord { record, keep }),
-        );
-        prop_assert!(
-            matches!(faulted, Err(CampaignError::InjectedFault(_))),
-            "a torn record write must abort the run: {faulted:?}"
-        );
-        let bytes = resumed.expect("resume after a torn write must succeed");
-        prop_assert_eq!(&bytes, &expected, "record {} torn at {} bytes", record, keep);
+        for workers in WORKERS {
+            let (faulted, resumed) = run_faulted_then_resume(
+                &format!("torn_{record}_{keep}"),
+                FailPlan::new(FaultKind::TornRecord { record, keep }),
+                workers,
+            );
+            prop_assert!(
+                matches!(faulted, Err(CampaignError::InjectedFault(_))),
+                "a torn record write must abort the run: {faulted:?}"
+            );
+            let bytes = resumed.expect("resume after a torn write must succeed");
+            prop_assert_eq!(
+                &bytes,
+                &expected,
+                "record {} torn at {} bytes, workers {}",
+                record,
+                keep,
+                workers
+            );
+        }
     }
 
     /// A silent bit flip inside a record line: the faulted run completes,
@@ -132,28 +141,32 @@ proptest! {
         xor in 1u8..=255,
     ) {
         let expected = reference_bytes("flip_ref");
-        let (faulted, resumed) = run_faulted_then_resume(
-            &format!("flip_{record}_{byte}_{xor}"),
-            FailPlan::new(FaultKind::BitFlip { record, byte, xor }),
-        );
-        prop_assert!(faulted.is_ok(), "a bit flip must not abort the run: {faulted:?}");
-        match resumed {
-            Ok(bytes) => prop_assert_eq!(
-                &bytes,
-                &expected,
-                "a resume that accepts a flipped store must have healed it \
-                 (record {}, byte {}, xor {:#04x})",
-                record,
-                byte,
-                xor
-            ),
-            Err(e) => {
-                let msg = e.to_string();
-                prop_assert!(
-                    msg.contains("STORE-CORRUPT"),
-                    "refusal must carry the named diagnostic, got: {}",
-                    msg
-                );
+        for workers in WORKERS {
+            let (faulted, resumed) = run_faulted_then_resume(
+                &format!("flip_{record}_{byte}_{xor}"),
+                FailPlan::new(FaultKind::BitFlip { record, byte, xor }),
+                workers,
+            );
+            prop_assert!(faulted.is_ok(), "a bit flip must not abort the run: {faulted:?}");
+            match resumed {
+                Ok(bytes) => prop_assert_eq!(
+                    &bytes,
+                    &expected,
+                    "a resume that accepts a flipped store must have healed it \
+                     (record {}, byte {}, xor {:#04x}, workers {})",
+                    record,
+                    byte,
+                    xor,
+                    workers
+                ),
+                Err(e) => {
+                    let msg = e.to_string();
+                    prop_assert!(
+                        msg.contains("STORE-CORRUPT"),
+                        "refusal must carry the named diagnostic, got: {}",
+                        msg
+                    );
+                }
             }
         }
     }
@@ -163,18 +176,21 @@ proptest! {
     /// double-count it.
     #[test]
     fn duplicate_appends_refuse_with_a_named_diagnostic(record in 0usize..4) {
-        let (faulted, resumed) = run_faulted_then_resume(
-            &format!("dup_{record}"),
-            FailPlan::new(FaultKind::DuplicateAppend { record }),
-        );
-        prop_assert!(faulted.is_ok(), "a duplicate append must not abort the run: {faulted:?}");
-        let err = resumed.expect_err("a duplicated record must refuse to resume");
-        let msg = err.to_string();
-        prop_assert!(
-            msg.contains("reason=duplicate-unit"),
-            "refusal must name the duplicate, got: {}",
-            msg
-        );
+        for workers in WORKERS {
+            let (faulted, resumed) = run_faulted_then_resume(
+                &format!("dup_{record}"),
+                FailPlan::new(FaultKind::DuplicateAppend { record }),
+                workers,
+            );
+            prop_assert!(faulted.is_ok(), "a duplicate append must not abort the run: {faulted:?}");
+            let err = resumed.expect_err("a duplicated record must refuse to resume");
+            let msg = err.to_string();
+            prop_assert!(
+                msg.contains("reason=duplicate-unit"),
+                "refusal must name the duplicate, got: {}",
+                msg
+            );
+        }
     }
 
     /// The universal contract over seeded plans of all four kinds:
@@ -183,18 +199,28 @@ proptest! {
     fn every_seeded_fault_resumes_identically_or_refuses_by_name(seed in 0u64..64) {
         let expected = reference_bytes("seeded_ref");
         let plan = FailPlan::from_seed(seed, 4, expected.len() as u64 + 64);
-        let (_, resumed) = run_faulted_then_resume(&format!("seeded_{seed}"), plan);
-        match resumed {
-            Ok(bytes) => prop_assert_eq!(&bytes, &expected, "seed {} ({:?})", seed, plan.kind()),
-            Err(e) => {
-                let msg = e.to_string();
-                prop_assert!(
-                    msg.contains("STORE-CORRUPT"),
-                    "seed {} ({:?}): refusal must be named, got: {}",
+        for workers in WORKERS {
+            let (_, resumed) = run_faulted_then_resume(&format!("seeded_{seed}"), plan, workers);
+            match resumed {
+                Ok(bytes) => prop_assert_eq!(
+                    &bytes,
+                    &expected,
+                    "seed {} ({:?}), workers {}",
                     seed,
                     plan.kind(),
-                    msg
-                );
+                    workers
+                ),
+                Err(e) => {
+                    let msg = e.to_string();
+                    prop_assert!(
+                        msg.contains("STORE-CORRUPT"),
+                        "seed {} ({:?}), workers {}: refusal must be named, got: {}",
+                        seed,
+                        plan.kind(),
+                        workers,
+                        msg
+                    );
+                }
             }
         }
     }
@@ -209,7 +235,7 @@ proptest! {
         run_campaign(
             &spec(),
             &store,
-            &RunOptions { workers: 1, max_units: None, fresh: true, fault: None, shard: None, poison: None, events: None, slow_unit: None },
+            &opts(1, true, None),
         )
         .expect("campaign runs");
         let mut bytes = std::fs::read(store.path()).expect("store readable");
@@ -247,7 +273,7 @@ fn certify_level_2_catches_a_consistently_altered_result() {
     run_campaign(
         &spec,
         &store,
-        &RunOptions { workers: 1, max_units: None, fresh: true, fault: None, shard: None, poison: None, events: None, slow_unit: None },
+        &opts(1, true, None),
     )
     .expect("campaign runs");
 

@@ -162,12 +162,16 @@ proptest! {
         count in 1usize..4,
         poison in 0usize..12,
         pieces_seed in 0usize..6,
+        pooled in any::<bool>(),
     ) {
         let spec = spec();
         let plan = spec.plan().expect("plan");
         prop_assume!(poison < plan.units.len());
         let poison_hash = plan.units[poison].hash.clone();
-        let tag = format!("poison_{count}_{poison}_{pieces_seed}");
+        // The poisoned runs go inline or through a pool whose other
+        // workers hold in-flight units when the poison stops the run.
+        let workers = if pooled { 3 } else { 1 };
+        let tag = format!("poison_{count}_{poison}_{pieces_seed}_w{workers}");
         let dir = case_dir(&tag);
         let mut manifest = ShardManifest::build(&plan, count, &dir);
 
@@ -192,7 +196,8 @@ proptest! {
                 let e = manifest.entries[idx].clone();
                 let store = ResultStore::new(&e.store);
                 let poisoned = run_campaign(&spec, &store, &RunOptions {
-                    poison: Some(poison_hash.clone()), events: None, slow_unit: None,
+                    workers,
+                    poison: Some(poison_hash.clone()),
                     ..entry_opts(e.start, e.units)
                 });
                 let died = matches!(poisoned, Err(CampaignError::InjectedFault(_)));
@@ -266,33 +271,40 @@ proptest! {
         run_campaign(&spec, &reference, &RunOptions::default()).expect("reference runs");
         let expected = std::fs::read(reference.path()).expect("readable");
 
-        let store = ResultStore::new(dir.join("faulted.jsonl"));
-        let opts = RunOptions {
-            workers: 1,
-            fault: Some(FailPlan::new(FaultKind::IoError { record })),
-            ..RunOptions::default()
-        };
-        match run_campaign(&spec, &store, &opts) {
-            Err(CampaignError::Io(msg)) => {
-                prop_assert!(msg.contains("injected io error"), "{msg}");
-                let loaded = store.load().expect("prefix loads");
-                prop_assert!(!loaded.torn_tail, "io error must not tear the store");
-                prop_assert_eq!(loaded.records.len(), record);
-                run_campaign(&spec, &store, &RunOptions {
-                    fresh: false,
-                    ..RunOptions::default()
-                })
-                .expect("resume completes");
+        for workers in [1usize, 3] {
+            let store = ResultStore::new(dir.join(format!("faulted_w{workers}.jsonl")));
+            let opts = RunOptions {
+                workers,
+                fault: Some(FailPlan::new(FaultKind::IoError { record })),
+                ..RunOptions::default()
+            };
+            match run_campaign(&spec, &store, &opts) {
+                Err(CampaignError::Io(msg)) => {
+                    prop_assert!(msg.contains("injected io error"), "{msg}");
+                    let loaded = store.load().expect("prefix loads");
+                    prop_assert!(!loaded.torn_tail, "io error must not tear the store");
+                    prop_assert_eq!(loaded.records.len(), record);
+                    run_campaign(&spec, &store, &RunOptions {
+                        fresh: false,
+                        ..RunOptions::default()
+                    })
+                    .expect("resume completes");
+                }
+                Ok(outcome) => {
+                    // The trigger record lay past the plan: nothing fired.
+                    prop_assert!(outcome.is_complete());
+                    prop_assert!(record >= outcome.planned);
+                }
+                Err(e) => prop_assert!(false, "unexpected error: {e}"),
             }
-            Ok(outcome) => {
-                // The trigger record lay past the plan: nothing fired.
-                prop_assert!(outcome.is_complete());
-                prop_assert!(record >= outcome.planned);
-            }
-            Err(e) => prop_assert!(false, "unexpected error: {e}"),
+            let bytes = std::fs::read(store.path()).expect("readable");
+            prop_assert_eq!(
+                &bytes,
+                &expected,
+                "resume must reproduce the reference bytes (workers {})",
+                workers
+            );
         }
-        let bytes = std::fs::read(store.path()).expect("readable");
-        prop_assert_eq!(&bytes, &expected, "resume must reproduce the reference bytes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -28,7 +28,8 @@ pub const CAMPAIGN_SPARSE_GATHER_UNITS: &str = "campaign_sparse_gather_units_tot
 /// Runner waves completed (one fsync each). No labels.
 pub const CAMPAIGN_WAVES: &str = "campaign_waves_total";
 
-/// Per-wave wall time in microseconds. No labels.
+/// Per-wave wall time in microseconds, from one store fsync to the
+/// next. No labels.
 pub const CAMPAIGN_WAVE_WALL_US: &str = "campaign_wave_wall_us";
 
 /// Bytes appended to result stores (header, records, seal). No labels.

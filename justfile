@@ -105,14 +105,19 @@ resharding-smoke:
 
 # CI gate for the campaign layer: run the committed 240-unit smoke spec,
 # interrupt it after 60 units, resume it, check the interrupted store is
-# byte-identical to an uninterrupted run, and diff the report against the
-# pinned examples/campaign_smoke_report.json (see docs/CAMPAIGNS.md).
+# byte-identical to an uninterrupted run, check runs at --workers 1 and
+# --workers 3 are too, and diff the report against the pinned
+# examples/campaign_smoke_report.json (see docs/CAMPAIGNS.md).
 campaign-smoke:
-    rm -f target/campaign-smoke.jsonl target/campaign-smoke-oneshot.jsonl target/campaign-smoke-report.json
+    rm -f target/campaign-smoke.jsonl target/campaign-smoke-oneshot.jsonl target/campaign-smoke-w1.jsonl target/campaign-smoke-w3.jsonl target/campaign-smoke-report.json
     cargo run --release -- campaign run    --spec examples/campaign_smoke.json --store target/campaign-smoke.jsonl --max-units 60
     cargo run --release -- campaign resume --spec examples/campaign_smoke.json --store target/campaign-smoke.jsonl
     cargo run --release -- campaign run    --spec examples/campaign_smoke.json --store target/campaign-smoke-oneshot.jsonl
     cmp target/campaign-smoke.jsonl target/campaign-smoke-oneshot.jsonl
+    cargo run --release -- campaign run    --spec examples/campaign_smoke.json --store target/campaign-smoke-w1.jsonl --workers 1
+    cmp target/campaign-smoke-w1.jsonl target/campaign-smoke-oneshot.jsonl
+    cargo run --release -- campaign run    --spec examples/campaign_smoke.json --store target/campaign-smoke-w3.jsonl --workers 3
+    cmp target/campaign-smoke-w3.jsonl target/campaign-smoke-oneshot.jsonl
     cargo run --release -- campaign report --spec examples/campaign_smoke.json --store target/campaign-smoke.jsonl --out target/campaign-smoke-report.json
     cmp target/campaign-smoke-report.json examples/campaign_smoke_report.json
 

@@ -352,6 +352,33 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// The flags each command reads, value flags and switches alike; `parse`
+/// refuses any other flag with a usage error naming it (`--help` is
+/// accepted everywhere).
+const FLAGS: &[(&str, &[&str])] = &[
+    ("table1", &["horizon", "min-covers", "seed"]),
+    ("scenario", &["n", "k", "algorithm", "dynamics", "horizon", "seed", "min-covers", "p"]),
+    (
+        "capture",
+        &["n", "k", "algorithm", "dynamics", "horizon", "seed", "min-covers", "p", "out"],
+    ),
+    ("replay", &["file"]),
+    ("sweep-p", &["n", "k", "horizon", "seeds"]),
+    ("coverage", &["n", "k", "horizon", "seed"]),
+    ("montecarlo", &["n", "k", "p", "replicas", "horizon", "seed", "algorithm", "out"]),
+    (
+        "campaign",
+        &[
+            "spec", "store", "workers", "max-units", "procs", "max-retries", "backoff-ms",
+            "heartbeat-timeout-ms", "no-steal", "steal-after-ms", "progress", "json",
+            "metrics-out", "out", "shards", "index", "dir", "manifest",
+        ],
+    ),
+    ("metrics", &["json", "limit"]),
+    ("certify", &["spec", "level", "sample", "seed", "out"]),
+    ("bench-report", &["out", "quick", "check"]),
+];
+
 /// Positional arguments and `--key value` pairs, borrowed from the input.
 type SplitArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
 
@@ -452,6 +479,29 @@ fn parse_dynamics(name: &str, n: usize, horizon: u64, p: f64) -> Result<Dynamics
     })
 }
 
+/// The scenario `scenario` and `capture` describe with their flags.
+fn parse_scenario(command: &str, pairs: &[(&str, &str)]) -> Result<Scenario, CliError> {
+    let n: usize = parse_num(pairs, "n", 0)?;
+    let k: usize = parse_num(pairs, "k", 0)?;
+    if n == 0 || k == 0 {
+        return Err(err(format!("{command} requires --n and --k")));
+    }
+    let horizon: u64 = parse_num(pairs, "horizon", 1000)?;
+    let p: f64 = parse_num(pairs, "p", 0.5)?;
+    let algorithm = parse_algorithm(lookup(pairs, "algorithm").unwrap_or("pef3+"))?;
+    let dynamics =
+        parse_dynamics(lookup(pairs, "dynamics").unwrap_or("bernoulli"), n, horizon, p)?;
+    let placement = if matches!(dynamics, DynamicsChoice::TwoConfiner { .. }) {
+        PlacementSpec::Adjacent { count: k, start: 0 }
+    } else {
+        PlacementSpec::EvenlySpaced { count: k }
+    };
+    let min_covers: u64 = parse_num(pairs, "min-covers", 3)?;
+    Ok(Scenario::new(n, placement, algorithm, dynamics, horizon)
+        .with_seed(parse_num(pairs, "seed", 0xDECADEu64)?)
+        .with_criteria(SuccessCriteria::covers(min_covers)))
+}
+
 /// Parses a full argument vector (without the program name).
 ///
 /// # Errors
@@ -462,33 +512,22 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     if positional.contains(&"--help") || positional.is_empty() {
         return Ok(Command::Help);
     }
-    // `--quick` is only meaningful for bench-report; reject it elsewhere
-    // instead of silently running the full-size workload. Same idea for
-    // the campaign-only value-less flags.
-    if positional.contains(&"--quick") && positional[0] != "bench-report" {
-        return Err(err("--quick is only valid with bench-report"));
+    // A flag the command does not read is refused, never ignored: a
+    // mistyped `--max-unit 5` must not run the whole campaign.
+    let command = positional[0];
+    if let Some((_, known)) = FLAGS.iter().find(|(name, _)| *name == command) {
+        let switches = positional.iter().filter_map(|a| a.strip_prefix("--"));
+        let mut flags = pairs.iter().map(|(k, _)| *k).chain(switches);
+        if let Some(key) = flags.find(|k| !known.contains(k)) {
+            return Err(err(format!("unknown flag --{key} for {command}")));
+        }
     }
-    if positional.contains(&"--progress") && positional[0] != "campaign" {
-        return Err(err("--progress is only valid with campaign"));
-    }
-    if positional.contains(&"--json") && !matches!(positional[0], "campaign" | "metrics") {
-        return Err(err("--json is only valid with campaign or metrics"));
-    }
-    match positional[0] {
+    match command {
         "capture" => {
-            let inner: Vec<String> = {
-                // Re-parse as a scenario, then attach the output path.
-                let mut v = vec!["scenario".to_string()];
-                v.extend(args.iter().filter(|a| *a != "capture").cloned());
-                v
-            };
             let out = lookup(&pairs, "out")
                 .ok_or_else(|| err("capture requires --out FILE"))?
                 .to_string();
-            match parse(&inner)? {
-                Command::Scenario(scenario) => Ok(Command::Capture { scenario, out }),
-                _ => Err(err("capture requires scenario flags (--n, --k, …)")),
-            }
+            Ok(Command::Capture { scenario: parse_scenario(command, &pairs)?, out })
         }
         "replay" => {
             let file = lookup(&pairs, "file")
@@ -503,28 +542,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             opts.seed = parse_num(&pairs, "seed", opts.seed)?;
             Ok(Command::Table1(opts))
         }
-        "scenario" => {
-            let n: usize = parse_num(&pairs, "n", 0)?;
-            let k: usize = parse_num(&pairs, "k", 0)?;
-            if n == 0 || k == 0 {
-                return Err(err("scenario requires --n and --k"));
-            }
-            let horizon: u64 = parse_num(&pairs, "horizon", 1000)?;
-            let p: f64 = parse_num(&pairs, "p", 0.5)?;
-            let algorithm = parse_algorithm(lookup(&pairs, "algorithm").unwrap_or("pef3+"))?;
-            let dynamics =
-                parse_dynamics(lookup(&pairs, "dynamics").unwrap_or("bernoulli"), n, horizon, p)?;
-            let placement = if matches!(dynamics, DynamicsChoice::TwoConfiner { .. }) {
-                PlacementSpec::Adjacent { count: k, start: 0 }
-            } else {
-                PlacementSpec::EvenlySpaced { count: k }
-            };
-            let min_covers: u64 = parse_num(&pairs, "min-covers", 3)?;
-            let scenario = Scenario::new(n, placement, algorithm, dynamics, horizon)
-                .with_seed(parse_num(&pairs, "seed", 0xDECADEu64)?)
-                .with_criteria(SuccessCriteria::covers(min_covers));
-            Ok(Command::Scenario(scenario))
-        }
+        "scenario" => Ok(Command::Scenario(parse_scenario(command, &pairs)?)),
         "coverage" => Ok(Command::Coverage {
             n: parse_num(&pairs, "n", 8)?,
             k: parse_num(&pairs, "k", 3)?,
@@ -1616,6 +1634,31 @@ mod tests {
             .is_err());
         assert!(parse(&args(&["scenario", "--n"])).is_err());
         assert!(parse(&args(&["table1", "--horizon", "abc"])).is_err());
+        // A flag the command does not read is refused by name, never
+        // ignored: mistyped, or valid only for another command.
+        for (argv, message) in [
+            (
+                &["campaign", "run", "--spec", "s.json", "--store", "x.jsonl", "--max-unit", "5"][..],
+                "unknown flag --max-unit for campaign",
+            ),
+            (&["montecarlo", "--replcas", "3"], "unknown flag --replcas for montecarlo"),
+            (&["scenario", "--n", "8", "--k", "3", "--out", "x"], "unknown flag --out for scenario"),
+            (&["table1", "--quick"], "unknown flag --quick for table1"),
+            (&["certify", "s.jsonl", "--spec", "c.json", "--json"], "unknown flag --json for certify"),
+            (&["metrics", "show", "l.jsonl", "--progress"], "unknown flag --progress for metrics"),
+        ] {
+            assert_eq!(parse(&args(argv)), Err(err(message)), "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn every_accepted_flag_is_documented() {
+        for (command, flags) in FLAGS {
+            assert!(USAGE.contains(&format!("dynring {command}")), "{command}");
+            for flag in *flags {
+                assert!(USAGE.contains(&format!("--{flag}")), "--{flag} for {command}");
+            }
+        }
     }
 
     #[test]
