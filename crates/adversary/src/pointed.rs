@@ -13,6 +13,10 @@ use dynring_engine::{Dynamics, EdgeProbe, Observation};
 /// the budget resets). An optional `exempt` edge may stay absent forever
 /// (the allowed eventual missing edge).
 ///
+/// Only an edge removed last round has a nonzero absence run, and the
+/// blocker removes only pointed edges, so it keeps the runs of at most `k`
+/// edges: a round costs O(k + n/64) for `k` robots on `n` edges.
+///
 /// This adversary is the natural "try hardest within the rules" strategy
 /// and serves as an ablation baseline: it slows `PEF_3+` down by roughly a
 /// factor of `budget` but cannot prevent exploration (Theorem 3.1), while
@@ -23,8 +27,11 @@ pub struct PointedEdgeBlocker {
     ring: RingTopology,
     budget: Time,
     exempt: Option<EdgeId>,
-    absent_run: Vec<Time>,
-    pointed_buf: EdgeSet,
+    /// The edges removed last round (never `exempt`) with their absence
+    /// runs; every other edge's run is 0.
+    removed: Vec<(EdgeId, Time)>,
+    /// Scratch for this round's `removed`.
+    next: Vec<(EdgeId, Time)>,
 }
 
 impl PointedEdgeBlocker {
@@ -39,13 +46,12 @@ impl PointedEdgeBlocker {
         if let Some(e) = exempt {
             ring.check_edge(e).unwrap_or_else(|err| panic!("{err}"));
         }
-        let edges = ring.edge_count();
         PointedEdgeBlocker {
             ring,
             budget,
             exempt,
-            absent_run: vec![0; edges],
-            pointed_buf: EdgeSet::empty(edges),
+            removed: Vec::new(),
+            next: Vec::new(),
         }
     }
 
@@ -67,28 +73,34 @@ impl Dynamics for PointedEdgeBlocker {
     }
 
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
-        obs.pointed_edges_into(&mut self.pointed_buf);
         out.reset(self.ring.edge_count());
         out.fill();
-        for e in self.ring.edges() {
-            let run = &mut self.absent_run[e.index()];
-            if Some(e) == self.exempt {
-                out.remove(e);
+        if let Some(e) = self.exempt {
+            out.remove(e);
+        }
+        self.next.clear();
+        for e in obs.pointed() {
+            // Absent already: the exempt edge, or pointed by an earlier
+            // robot and removed this round.
+            if !out.contains(e) {
                 continue;
             }
-            let wants_removed = self.pointed_buf.contains(e);
-            if wants_removed && *run < self.budget {
+            let run = self
+                .removed
+                .iter()
+                .find(|(edge, _)| *edge == e)
+                .map_or(0, |&(_, run)| run);
+            if run < self.budget {
                 out.remove(e);
-                *run += 1;
-            } else {
-                *run = 0;
+                self.next.push((e, run + 1));
             }
         }
+        std::mem::swap(&mut self.removed, &mut self.next);
     }
 
-    /// Sparse probing is refused: the per-edge absence budget advances for
-    /// *every* edge every round, so this adversary must see the full
-    /// snapshot — the engine falls back to [`Dynamics::edges_at_into`].
+    /// Sparse probing is not offered: a round is already just a word fill
+    /// plus at most `k` removals, so the engine reads the whole snapshot
+    /// through [`Dynamics::edges_at_into`].
     fn probe_edges(&mut self, _obs: &Observation<'_>, _queries: &mut [EdgeProbe]) -> bool {
         false
     }

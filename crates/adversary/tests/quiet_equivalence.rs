@@ -1,9 +1,9 @@
 //! Quiet-path equivalence on probe-refusing dynamics.
 //!
 //! `Recurrent`, `Capturing` and `PointedEdgeBlocker` decline
-//! `Dynamics::probe_edges` (their bookkeeping needs the full snapshot
-//! every round), so the engine's quiet path falls back to
-//! `edges_at_into`. These tests pin that the fallback is exact: the same
+//! `Dynamics::probe_edges` (the first two need the full snapshot every
+//! round, the blocker chooses a whole one), so the engine's quiet path
+//! falls back to `edges_at_into`. These tests pin that the fallback is exact: the same
 //! scenario driven through `step_quiet()` (the quiet path) and through
 //! `step()` (the recording path, which always materializes the full
 //! snapshot) produces identical traces round for round — positions,

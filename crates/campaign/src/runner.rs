@@ -426,6 +426,31 @@ mod tests {
     }
 
     #[test]
+    fn ill_parameterized_dynamics_are_refused_before_the_store_exists() {
+        // Each would panic a worker or fail a stream mid-run; the plan
+        // refuses it before the store is created.
+        for dynamics in [
+            UnitDynamics::BernoulliRecurrent { p: 0.5, bound: 0 },
+            UnitDynamics::PointedBlocker { budget: 0 },
+            UnitDynamics::SweepingOutage { dwell: 0 },
+            UnitDynamics::TwoConfiner { patience: 0 },
+            UnitDynamics::Bernoulli { p: 1.5 },
+            UnitDynamics::BernoulliRecurrent { p: -0.5, bound: 4 },
+            UnitDynamics::Markov { p_off: 0.5, p_on: 1.5 },
+        ] {
+            let mut spec = spec();
+            spec.dynamics.push(dynamics);
+            let store = temp("ill_parameterized");
+            let result = run_campaign(&spec, &store, &RunOptions::default());
+            assert!(
+                matches!(result, Err(CampaignError::InvalidSpec(_))),
+                "{dynamics:?}: {result:?}"
+            );
+            assert!(!store.path().exists(), "{dynamics:?} created a store");
+        }
+    }
+
+    #[test]
     fn run_interrupt_resume_is_byte_identical_to_one_shot() {
         let spec = spec();
         let total = spec.plan().expect("valid").units.len();

@@ -119,6 +119,37 @@ impl UnitDynamics {
         matches!(self, UnitDynamics::Bernoulli { .. } | UnitDynamics::Static)
     }
 
+    /// Refuses a parameter the dynamics cannot run with, naming it: a
+    /// probability outside `[0, 1]`, or a zero bound, budget, dwell or
+    /// patience.
+    fn check_parameters(&self) -> Result<(), String> {
+        use UnitDynamics as D;
+        let name = self.name();
+        let probability = |field: &str, p: f64| {
+            if (0.0..=1.0).contains(&p) {
+                Ok(())
+            } else {
+                Err(format!("dynamics `{name}`: `{field}` must be within [0, 1], not {p}"))
+            }
+        };
+        let positive = |field: &str, value: Time| {
+            if value >= 1 {
+                Ok(())
+            } else {
+                Err(format!("dynamics `{name}`: `{field}` must be at least 1"))
+            }
+        };
+        match *self {
+            D::Bernoulli { p } => probability("p", p),
+            D::BernoulliRecurrent { p, bound } => probability("p", p).and(positive("bound", bound)),
+            D::Markov { p_off, p_on } => probability("p_off", p_off).and(probability("p_on", p_on)),
+            D::SweepingOutage { dwell } => positive("dwell", dwell),
+            D::PointedBlocker { budget } => positive("budget", budget),
+            D::TwoConfiner { patience } => positive("patience", patience),
+            D::Static | D::TIntervalConnected { .. } | D::SingleConfiner | D::SsyncBlocker => Ok(()),
+        }
+    }
+
     /// The scenario suite's equivalent, which the serial first-cover
     /// kernel ([`dynring_analysis::first_cover`]) builds and plays. `None`
     /// for the pure Bernoulli stream, which has no `DynamicsChoice`
@@ -377,6 +408,10 @@ impl CampaignSpec {
             if empty {
                 return invalid(format!("axis `{label}` must not be empty"));
             }
+        }
+        // Before the axis encodings: a NaN probability does not serialize.
+        for dynamics in &self.dynamics {
+            dynamics.check_parameters().or_else(invalid)?;
         }
         Self::check_axis_unique("ring_sizes", &self.ring_sizes)?;
         Self::check_axis_unique("robots", &self.robots)?;
@@ -649,6 +684,63 @@ mod tests {
         spec.ring_sizes = vec![2];
         spec.robots = vec![3];
         assert!(matches!(spec.plan(), Err(CampaignError::EmptyPlan)));
+    }
+
+    #[test]
+    fn ill_parameterized_dynamics_are_refused_by_field() {
+        for (dynamics, message) in [
+            (
+                UnitDynamics::BernoulliRecurrent { p: 0.5, bound: 0 },
+                "dynamics `bernoulli+recurrence`: `bound` must be at least 1",
+            ),
+            (
+                UnitDynamics::PointedBlocker { budget: 0 },
+                "dynamics `pointed-blocker`: `budget` must be at least 1",
+            ),
+            (
+                UnitDynamics::SweepingOutage { dwell: 0 },
+                "dynamics `sweeping-outage`: `dwell` must be at least 1",
+            ),
+            (
+                UnitDynamics::TwoConfiner { patience: 0 },
+                "dynamics `thm4.1-confiner`: `patience` must be at least 1",
+            ),
+            (
+                UnitDynamics::Bernoulli { p: 1.5 },
+                "dynamics `bernoulli`: `p` must be within [0, 1], not 1.5",
+            ),
+            (
+                UnitDynamics::BernoulliRecurrent { p: -0.25, bound: 4 },
+                "dynamics `bernoulli+recurrence`: `p` must be within [0, 1], not -0.25",
+            ),
+            (
+                UnitDynamics::Markov { p_off: 2.0, p_on: 0.5 },
+                "dynamics `markov`: `p_off` must be within [0, 1], not 2",
+            ),
+            (
+                UnitDynamics::Markov { p_off: 0.5, p_on: f64::NAN },
+                "dynamics `markov`: `p_on` must be within [0, 1], not NaN",
+            ),
+        ] {
+            let mut spec = tiny_spec();
+            spec.dynamics.push(dynamics);
+            match spec.plan() {
+                Err(CampaignError::InvalidSpec(found)) => assert_eq!(found, message),
+                other => panic!("{dynamics:?} must be refused, got {other:?}"),
+            }
+        }
+        // The edges of every range stay valid.
+        let mut spec = tiny_spec();
+        spec.dynamics = vec![
+            UnitDynamics::Bernoulli { p: 0.0 },
+            UnitDynamics::BernoulliRecurrent { p: 1.0, bound: 1 },
+            UnitDynamics::Markov { p_off: 1.0, p_on: 0.0 },
+            UnitDynamics::SweepingOutage { dwell: 1 },
+            UnitDynamics::PointedBlocker { budget: 1 },
+            UnitDynamics::TwoConfiner { patience: 1 },
+            UnitDynamics::TIntervalConnected { stability: 0 },
+        ];
+        assert!(spec.plan().is_ok());
     }
 
     #[test]

@@ -69,16 +69,17 @@ impl<'a> Observation<'a> {
     /// robot points to the adjacent edge in its direction).
     pub fn pointed_edges(&self) -> EdgeSet {
         let mut set = EdgeSet::empty_for(self.ring);
-        self.pointed_edges_into(&mut set);
+        set.extend(self.pointed());
         set
     }
 
-    /// Writes the pointed-edge set into `out` without allocating.
-    pub fn pointed_edges_into(&self, out: &mut EdgeSet) {
-        out.reset(self.ring.edge_count());
-        for r in self.robots {
-            out.insert(self.ring.edge_towards(r.node, r.global_dir()));
-        }
+    /// The edge each robot points to, in robot-id order (an edge appears
+    /// once per robot pointing to it), without touching the other edges.
+    pub fn pointed(&self) -> impl Iterator<Item = EdgeId> + 'a {
+        let ring = self.ring;
+        self.robots
+            .iter()
+            .map(move |r| ring.edge_towards(r.node, r.global_dir()))
     }
 }
 

@@ -9,6 +9,11 @@
 //! into one with a *hard* per-edge recurrence bound, which is what the
 //! finite-horizon connected-over-time certificates in [`crate::classes`]
 //! check for.
+//!
+//! Frames are built a 64-edge word at a time: each edge still takes its
+//! one draw in edge order, but the draw is compared against an integer
+//! threshold (`unit_threshold`) without a branch, and the repair step
+//! keeps its absence runs as bit-sliced counters.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -63,17 +68,49 @@ fn script(mut stream: impl FrameStream, horizon: Time, tail: TailBehavior) -> Sc
     ScriptedSchedule::new(stream.ring().clone(), frames, tail).expect("frames built for this ring")
 }
 
+/// The integer threshold `t` with `rng.random_bool(p)` ⇔
+/// `(rng.next_u64() >> 11) < t` for the same draw.
+///
+/// `random_unit()` is exactly `(x >> 11) / 2^53` (a 53-bit integer over a
+/// power of two), `p · 2^53` is exact for `p ∈ [0, 1]`, and `m < y` ⇔
+/// `m < ceil(y)` for an integer `m`, so the threshold is `ceil(p · 2^53)`.
+fn unit_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Edges held by word `index` of a set over `universe` edges.
+fn word_len(universe: usize, index: usize) -> usize {
+    (universe - 64 * index).min(64)
+}
+
+/// The next `len` (≤ 64) draws of `rng` compared against `threshold`, draw
+/// `i` at bit `i`.
+fn bernoulli_word(rng: &mut SmallRng, len: usize, threshold: u64) -> u64 {
+    (0..len).fold(0, |word, bit| {
+        word | u64::from((rng.next_u64() >> 11) < threshold) << bit
+    })
+}
+
 /// The online recurrence-repair step: no edge (except `exempt`) stays
 /// absent for `bound` or more consecutive frames. Whenever an edge has
 /// been absent for `bound - 1` frames, it is forced present in the next.
 ///
 /// The leading window counts: an edge absent since the first frame is
 /// forced present at frame `bound - 1` at the latest.
+///
+/// The absence runs are bit-sliced: plane `j` of a word holds bit `j` of
+/// the runs of its 64 edges, so a frame costs a few word operations per
+/// plane per 64 edges.
 #[derive(Debug, Clone)]
 pub struct RecurrenceRepair {
-    bound: Time,
-    exempt: Option<EdgeId>,
-    absent_run: Vec<Time>,
+    /// `bound - 1`: the run at which an absent edge is forced present.
+    limit: Time,
+    /// The edges the repair applies to (all but `exempt`).
+    eligible: EdgeSet,
+    /// Bit planes of the absence runs, `planes` per word: word `w`'s plane
+    /// `j` is `runs[w * planes + j]`.
+    runs: Vec<u64>,
+    planes: usize,
 }
 
 impl RecurrenceRepair {
@@ -84,34 +121,54 @@ impl RecurrenceRepair {
     /// Panics when `bound == 0` or when `exempt` is not one of the edges.
     pub fn new(edges: usize, bound: Time, exempt: Option<EdgeId>) -> Self {
         assert!(bound >= 1, "recurrence bound must be at least 1");
+        let mut eligible = EdgeSet::full(edges);
         if let Some(e) = exempt {
             assert!(
                 e.index() < edges,
                 "exempt edge {e} outside a ring of {edges} edges"
             );
+            eligible.remove(e);
         }
+        let limit = bound - 1;
+        let planes = (Time::BITS - limit.leading_zeros()) as usize;
         RecurrenceRepair {
-            bound,
-            exempt,
-            absent_run: vec![0; edges],
+            limit,
+            runs: vec![0; eligible.word_count() * planes],
+            eligible,
+            planes,
         }
     }
 
     /// Repairs the next frame in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `frame` is over another number of edges.
     pub fn apply(&mut self, frame: &mut EdgeSet) {
-        for (index, run) in self.absent_run.iter_mut().enumerate() {
-            let e = EdgeId::new(index);
-            if Some(e) == self.exempt {
-                continue;
+        assert_eq!(
+            frame.universe(),
+            self.eligible.universe(),
+            "frame over another number of edges"
+        );
+        for (index, &eligible) in self.eligible.as_words().iter().enumerate() {
+            let word = frame.as_words()[index];
+            let runs = &mut self.runs[index * self.planes..(index + 1) * self.planes];
+            let absent = !word & eligible;
+            // Absent edges whose run equals `limit`, plane by plane:
+            // `plane ^ 0` where the limit's bit is 1, `plane ^ !0` where 0.
+            let due = runs.iter().enumerate().fold(absent, |due, (j, &plane)| {
+                due & (plane ^ ((self.limit >> j) & 1).wrapping_sub(1))
+            });
+            // The runs of the edges left absent grow by one (a ripple
+            // carry); every other run restarts at 0.
+            let grow = absent & !due;
+            let mut carry = grow;
+            for plane in runs.iter_mut() {
+                let sum = *plane ^ carry;
+                carry &= *plane;
+                *plane = sum & grow;
             }
-            if frame.contains(e) {
-                *run = 0;
-            } else if *run + 1 >= self.bound {
-                frame.insert(e);
-                *run = 0;
-            } else {
-                *run += 1;
-            }
+            frame.set_word(index, word | due);
         }
     }
 }
@@ -140,7 +197,8 @@ impl Default for RandomCotConfig {
 }
 
 /// The stream behind [`random_connected_over_time`]: per frame, Bernoulli
-/// presence drawn edge by edge, then the [`RecurrenceRepair`] step (the
+/// presence drawn edge by edge (one draw per edge, in edge order, packed
+/// into words), then the [`RecurrenceRepair`] step (the
 /// missing edge exempt), then the eventual missing edge removed from its
 /// kill time on.
 ///
@@ -162,12 +220,12 @@ pub fn random_cot_stream(
     let mut rng = SmallRng::seed_from_u64(seed);
     let exempt = missing.map(|(edge, _)| edge);
     let mut repair = RecurrenceRepair::new(ring.edge_count(), config.recurrence_bound, exempt);
+    let threshold = unit_threshold(p);
     let mut t: Time = 0;
     Ok(stream(ring, move |ring, out| {
-        for e in ring.edges() {
-            if rng.random_bool(p) {
-                out.insert(e);
-            }
+        for index in 0..out.word_count() {
+            let len = word_len(ring.edge_count(), index);
+            out.set_word(index, bernoulli_word(&mut rng, len, threshold));
         }
         repair.apply(out);
         if let Some((edge, from)) = missing {
@@ -213,7 +271,9 @@ pub fn random_connected_over_time(
 }
 
 /// Markov on/off dynamics as a stream: each edge is an independent
-/// two-state chain, every edge present at the start.
+/// two-state chain, every edge present at the start. A frame is the chain
+/// state before its transition; each edge takes one draw per frame, in
+/// edge order.
 ///
 /// `p_off` is the probability that a present edge disappears at the next
 /// instant; `p_on` the probability that an absent edge reappears. High
@@ -233,17 +293,20 @@ pub fn markov_stream(
     GraphError::check_probability(p_off)?;
     GraphError::check_probability(p_on)?;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut state = vec![true; ring.edge_count()];
-    Ok(stream(ring, move |_, out| {
-        for (i, on) in state.iter_mut().enumerate() {
-            if *on {
-                out.insert(EdgeId::new(i));
-                if rng.random_bool(p_off) {
-                    *on = false;
-                }
-            } else if rng.random_bool(p_on) {
-                *on = true;
+    let (off, on) = (unit_threshold(p_off), unit_threshold(p_on));
+    let mut state = EdgeSet::full_for(ring);
+    Ok(stream(ring, move |ring, out| {
+        out.copy_from(&state);
+        for (index, &present) in out.as_words().iter().enumerate() {
+            // One draw per edge: a present edge leaves below `off`, an
+            // absent one enters below `on`.
+            let (mut leave, mut enter) = (0u64, 0u64);
+            for bit in 0..word_len(ring.edge_count(), index) {
+                let draw = rng.next_u64() >> 11;
+                leave |= u64::from(draw < off) << bit;
+                enter |= u64::from(draw < on) << bit;
             }
+            state.set_word(index, (present & !leave) | (!present & enter));
         }
     }))
 }
@@ -353,6 +416,31 @@ mod tests {
 
     fn ring(n: usize) -> RingTopology {
         RingTopology::new(n).expect("valid ring")
+    }
+
+    #[test]
+    fn unit_threshold_matches_the_f64_compare_exactly() {
+        // `random_unit() < p` reads only the 53-bit `x >> 11`; sweep every
+        // such value in a window around each threshold.
+        let ps = [
+            0.0,
+            1e-17,
+            f64::EPSILON,
+            0.1,
+            0.3,
+            1.0 / 3.0,
+            0.5,
+            0.999_999,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+        ];
+        for p in ps {
+            let threshold = unit_threshold(p);
+            for m in threshold.saturating_sub(64)..(threshold + 64).min(1 << 53) {
+                let unit = m as f64 / (1u64 << 53) as f64;
+                assert_eq!(m < threshold, unit < p, "p={p} m={m}");
+            }
+        }
     }
 
     #[test]

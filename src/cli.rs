@@ -34,7 +34,7 @@ USAGE:
                             [--procs P] [--max-retries R] [--backoff-ms B]
                             [--heartbeat-timeout-ms T] [--no-steal]
                             [--steal-after-ms T] [--progress] [--json]
-                            [--metrics-out FILE]
+                            [--manifest FILE] [--dir DIR] [--metrics-out FILE]
     dynring campaign resume --spec FILE --store FILE [same flags as run]
     dynring campaign report --spec FILE --store FILE [--out FILE]
     dynring campaign shard  --spec FILE --shards N [--index I] [--dir DIR]
@@ -352,9 +352,16 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// The flags each command reads, value flags and switches alike; `parse`
-/// refuses any other flag with a usage error naming it (`--help` is
-/// accepted everywhere).
+/// Flags every supervisor-capable campaign verb (`run`, `resume`) reads.
+const CAMPAIGN_RUN_FLAGS: &[&str] = &[
+    "spec", "store", "workers", "max-units", "procs", "max-retries", "backoff-ms",
+    "heartbeat-timeout-ms", "no-steal", "steal-after-ms", "progress", "json", "manifest", "dir",
+    "metrics-out",
+];
+
+/// The flags each command reads, value flags and switches alike, keyed by
+/// `command verb` for the commands with verbs; `parse` refuses any other
+/// flag with a usage error naming it (`--help` is accepted everywhere).
 const FLAGS: &[(&str, &[&str])] = &[
     ("table1", &["horizon", "min-covers", "seed"]),
     ("scenario", &["n", "k", "algorithm", "dynamics", "horizon", "seed", "min-covers", "p"]),
@@ -366,15 +373,16 @@ const FLAGS: &[(&str, &[&str])] = &[
     ("sweep-p", &["n", "k", "horizon", "seeds"]),
     ("coverage", &["n", "k", "horizon", "seed"]),
     ("montecarlo", &["n", "k", "p", "replicas", "horizon", "seed", "algorithm", "out"]),
-    (
-        "campaign",
-        &[
-            "spec", "store", "workers", "max-units", "procs", "max-retries", "backoff-ms",
-            "heartbeat-timeout-ms", "no-steal", "steal-after-ms", "progress", "json",
-            "metrics-out", "out", "shards", "index", "dir", "manifest",
-        ],
-    ),
-    ("metrics", &["json", "limit"]),
+    ("campaign run", CAMPAIGN_RUN_FLAGS),
+    ("campaign resume", CAMPAIGN_RUN_FLAGS),
+    ("campaign report", &["spec", "store", "out"]),
+    ("campaign shard", &["spec", "shards", "index", "dir", "manifest"]),
+    ("campaign work", &["spec", "manifest", "index", "workers", "max-units", "metrics-out"]),
+    ("campaign merge", &["spec", "store", "manifest", "metrics-out"]),
+    ("campaign status", &["manifest", "json"]),
+    ("metrics show", &["json"]),
+    ("metrics top", &["json", "limit"]),
+    ("metrics diff", &["json"]),
     ("certify", &["spec", "level", "sample", "seed", "out"]),
     ("bench-report", &["out", "quick", "check"]),
 ];
@@ -390,15 +398,9 @@ fn split_flags(args: &[String]) -> Result<SplitArgs<'_>, CliError> {
     while i < args.len() {
         let arg = args[i].as_str();
         if let Some(key) = arg.strip_prefix("--") {
-            // Value-less flags.
+            // Value-less flags stay positional, `--` and all.
             if matches!(key, "help" | "quick" | "progress" | "json" | "no-steal") {
-                positional.push(match key {
-                    "help" => "--help",
-                    "quick" => "--quick",
-                    "progress" => "--progress",
-                    "no-steal" => "--no-steal",
-                    _ => "--json",
-                });
+                positional.push(arg);
                 i += 1;
                 continue;
             }
@@ -512,14 +514,20 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     if positional.contains(&"--help") || positional.is_empty() {
         return Ok(Command::Help);
     }
-    // A flag the command does not read is refused, never ignored: a
-    // mistyped `--max-unit 5` must not run the whole campaign.
+    // A flag the command (or its verb) does not read is refused, never
+    // ignored: a mistyped `--max-unit 5` must not run the whole campaign.
+    // An unknown verb is left to the command's own error.
     let command = positional[0];
-    if let Some((_, known)) = FLAGS.iter().find(|(name, _)| *name == command) {
+    let verb = positional.get(1).map(|verb| format!("{command} {verb}"));
+    let entry = FLAGS
+        .iter()
+        .find(|(name, _)| Some(*name) == verb.as_deref())
+        .or_else(|| FLAGS.iter().find(|(name, _)| *name == command));
+    if let Some((name, known)) = entry {
         let switches = positional.iter().filter_map(|a| a.strip_prefix("--"));
         let mut flags = pairs.iter().map(|(k, _)| *k).chain(switches);
         if let Some(key) = flags.find(|k| !known.contains(k)) {
-            return Err(err(format!("unknown flag --{key} for {command}")));
+            return Err(err(format!("unknown flag --{key} for {name}")));
         }
     }
     match command {
@@ -614,34 +622,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "campaign status requires at least one STORE path or --manifest FILE",
                 ));
             }
-            let out = lookup(&pairs, "out").map(str::to_string);
-            if out.is_some() && verb != CampaignVerb::Report {
-                return Err(err("--out is only valid with campaign report"));
-            }
-            let workers = parse_opt_num(&pairs, "workers")?;
-            let max_units = parse_opt_num(&pairs, "max-units")?;
-            if (workers.is_some() || max_units.is_some())
-                && !matches!(verb, CampaignVerb::Run | CampaignVerb::Resume | CampaignVerb::Work)
-            {
-                return Err(err(
-                    "--workers/--max-units are only valid with campaign run/resume/work",
-                ));
-            }
             let procs = parse_opt_num(&pairs, "procs")?;
             if procs == Some(0) {
                 return Err(err("--procs must be at least 1"));
-            }
-            if procs.is_some() && !matches!(verb, CampaignVerb::Run | CampaignVerb::Resume) {
-                return Err(err("--procs is only valid with campaign run/resume"));
-            }
-            let no_steal = positional.contains(&"--no-steal");
-            let steal_after_ms = parse_opt_num(&pairs, "steal-after-ms")?;
-            if (no_steal || steal_after_ms.is_some())
-                && !matches!(verb, CampaignVerb::Run | CampaignVerb::Resume)
-            {
-                return Err(err(
-                    "--no-steal/--steal-after-ms are only valid with campaign run/resume",
-                ));
             }
             let shards = parse_opt_num(&pairs, "shards")?;
             if verb == CampaignVerb::Shard && shards.is_none() {
@@ -661,28 +644,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "campaign merge needs --manifest FILE or shard STORE… paths",
                 ));
             }
-            let metrics_out = lookup(&pairs, "metrics-out").map(str::to_string);
-            if metrics_out.is_some()
-                && !matches!(
-                    verb,
-                    CampaignVerb::Run
-                        | CampaignVerb::Resume
-                        | CampaignVerb::Work
-                        | CampaignVerb::Merge
-                )
-            {
-                return Err(err(
-                    "--metrics-out is only valid with campaign run/resume/work/merge",
-                ));
-            }
             Ok(Command::Campaign {
                 verb,
                 spec,
                 store,
                 stores,
-                workers,
-                max_units,
-                out,
+                workers: parse_opt_num(&pairs, "workers")?,
+                max_units: parse_opt_num(&pairs, "max-units")?,
+                out: lookup(&pairs, "out").map(str::to_string),
                 manifest,
                 procs,
                 shards,
@@ -691,11 +660,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 max_retries: parse_num(&pairs, "max-retries", 3)?,
                 backoff_ms: parse_num(&pairs, "backoff-ms", 250)?,
                 heartbeat_timeout_ms: parse_num(&pairs, "heartbeat-timeout-ms", 30_000)?,
-                no_steal,
-                steal_after_ms,
+                no_steal: positional.contains(&"--no-steal"),
+                steal_after_ms: parse_opt_num(&pairs, "steal-after-ms")?,
                 progress: positional.contains(&"--progress"),
                 json: positional.contains(&"--json"),
-                metrics_out,
+                metrics_out: lookup(&pairs, "metrics-out").map(str::to_string),
             })
         }
         "metrics" => {
@@ -729,15 +698,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 }
                 _ => {}
             }
-            let limit: usize = parse_num(&pairs, "limit", 10)?;
-            if lookup(&pairs, "limit").is_some() && verb != MetricsVerb::Top {
-                return Err(err("--limit is only valid with metrics top"));
-            }
             Ok(Command::Metrics {
                 verb,
                 ledgers,
                 json: positional.contains(&"--json"),
-                limit,
+                limit: parse_num(&pairs, "limit", 10)?,
             })
         }
         "certify" => {
@@ -1635,19 +1600,43 @@ mod tests {
         assert!(parse(&args(&["scenario", "--n"])).is_err());
         assert!(parse(&args(&["table1", "--horizon", "abc"])).is_err());
         // A flag the command does not read is refused by name, never
-        // ignored: mistyped, or valid only for another command.
-        for (argv, message) in [
-            (
-                &["campaign", "run", "--spec", "s.json", "--store", "x.jsonl", "--max-unit", "5"][..],
-                "unknown flag --max-unit for campaign",
-            ),
-            (&["montecarlo", "--replcas", "3"], "unknown flag --replcas for montecarlo"),
-            (&["scenario", "--n", "8", "--k", "3", "--out", "x"], "unknown flag --out for scenario"),
-            (&["table1", "--quick"], "unknown flag --quick for table1"),
-            (&["certify", "s.jsonl", "--spec", "c.json", "--json"], "unknown flag --json for certify"),
-            (&["metrics", "show", "l.jsonl", "--progress"], "unknown flag --progress for metrics"),
+        // ignored: mistyped, valid only for another command, or only for
+        // another verb of this one.
+        let words = |line: &str| args(&line.split(' ').collect::<Vec<_>>());
+        let run = "campaign run --spec s --store t";
+        let report = "campaign report --spec s --store t";
+        let work = "campaign work --spec s --manifest m --index 0";
+        for (line, refused) in [
+            (format!("{run} --max-unit 5"), "--max-unit for campaign run"),
+            ("montecarlo --replcas 3".into(), "--replcas for montecarlo"),
+            ("scenario --n 8 --k 3 --out x".into(), "--out for scenario"),
+            ("table1 --quick".into(), "--quick for table1"),
+            ("certify s.jsonl --spec c.json --json".into(), "--json for certify"),
+            ("metrics show l.jsonl --progress".into(), "--progress for metrics show"),
+            ("metrics show l.jsonl --limit 3".into(), "--limit for metrics show"),
+            (format!("{report} --shards 3 --heartbeat-timeout-ms 5"), "--shards for campaign report"),
+            ("campaign status t --spec x --progress".into(), "--spec for campaign status"),
+            ("campaign status t --progress".into(), "--progress for campaign status"),
+            (format!("{run} --out r.json"), "--out for campaign run"),
+            ("campaign shard --spec s --shards 2 --workers 2".into(), "--workers for campaign shard"),
+            ("campaign merge --spec s --store t a --max-units 2".into(), "--max-units for campaign merge"),
+            (format!("{work} --procs 2"), "--procs for campaign work"),
+            (format!("{work} --no-steal"), "--no-steal for campaign work"),
+            (format!("{report} --steal-after-ms 9"), "--steal-after-ms for campaign report"),
+            (format!("{report} --metrics-out m"), "--metrics-out for campaign report"),
         ] {
-            assert_eq!(parse(&args(argv)), Err(err(message)), "{argv:?}");
+            assert_eq!(parse(&words(&line)), Err(err(format!("unknown flag {refused}"))), "{line}");
+        }
+        // Each verb still takes its own flags.
+        for line in [
+            format!("{report} --out r.json"),
+            "campaign status t --manifest m --json".into(),
+            format!("{work} --workers 2 --max-units 3 --metrics-out m"),
+            "campaign merge --spec s --store t a --metrics-out m".into(),
+            format!("{run} --procs 2 --no-steal --manifest m --dir d"),
+            "metrics top l.jsonl --limit 3".into(),
+        ] {
+            assert!(parse(&words(&line)).is_ok(), "{line}");
         }
     }
 
