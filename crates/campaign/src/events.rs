@@ -17,12 +17,20 @@
 //! observable. Unlike the store, a corrupt *interior* line is skipped
 //! and counted rather than refused: the ledger is forensic data, and
 //! one damaged observation must not make the rest unreadable.
+//!
+//! Every lifecycle fact has exactly one call site, an [`EventSink::emit`]:
+//! the sink folds the event into a metrics registry ([`Event::fold_into`],
+//! the one event→series mapping), prints its greppable `SHARD-…` line
+//! when it has one, and appends it to the ledger when one is open. The
+//! registry snapshot is therefore the same fold over the same events the
+//! ledger holds.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use dynring_obs::{labeled, names, Registry};
 use serde::{Deserialize, Serialize};
 
 use crate::CampaignError;
@@ -75,6 +83,9 @@ pub enum Event {
         replica_rounds: u64,
         /// Wall time of the unit's execution in microseconds.
         wall_us: u64,
+        /// Snapshot fill of the batch route (`"sparse"` or `"full"`);
+        /// `None` on the serial route and in older ledgers.
+        fill: Option<String>,
     },
     /// One runner wave appended and fsynced.
     Wave {
@@ -126,6 +137,11 @@ pub enum Event {
         remaining: usize,
         /// Child sub-shards created.
         pieces: usize,
+        /// Attempts the parent spent; `None` in older ledgers.
+        attempts: Option<usize>,
+        /// Index of the first child; the children are
+        /// `first_child..first_child + pieces`. `None` in older ledgers.
+        first_child: Option<usize>,
     },
     /// A shard was given up on.
     Quarantine {
@@ -154,6 +170,120 @@ pub enum Event {
         /// Bytes discarded.
         bytes: u64,
     },
+}
+
+impl Event {
+    /// Folds this event into `registry`: the one event→series mapping
+    /// behind the `campaign_*`, `merge_units_total` and `supervisor_*`
+    /// series. I/O instruments (`store_*`, `merge_bytes_total`) are
+    /// counted at their I/O sites instead.
+    pub fn fold_into(&self, registry: &Registry) {
+        let count = |name: &str| registry.counter(name).inc();
+        match self {
+            Event::Unit { route, arity, replica_rounds, wall_us, fill, .. } => {
+                let route = [("route", route.as_str())];
+                count(&labeled(names::CAMPAIGN_UNITS, &route));
+                registry
+                    .counter(&labeled(names::CAMPAIGN_REPLICA_ROUNDS, &route))
+                    .add(*replica_rounds);
+                registry.histogram(&labeled(names::CAMPAIGN_UNIT_WALL_US, &route)).record(*wall_us);
+                if *arity > 0 {
+                    let arity = arity.to_string();
+                    count(&labeled(names::CAMPAIGN_BATCH_ARITY_UNITS, &[("arity", &arity)]));
+                }
+                if let Some(mode) = fill {
+                    count(&labeled(names::CAMPAIGN_SPARSE_GATHER_UNITS, &[("mode", mode)]));
+                }
+            }
+            Event::Wave { wall_us, .. } => {
+                count(names::CAMPAIGN_WAVES);
+                registry.histogram(names::CAMPAIGN_WAVE_WALL_US).record(*wall_us);
+            }
+            Event::Spawn { .. } => count(names::SUPERVISOR_SPAWNS),
+            Event::Stall { .. } => count(names::SUPERVISOR_STALLS),
+            Event::Retry { .. } => count(names::SUPERVISOR_RETRIES),
+            Event::Steal { .. } => count(names::SUPERVISOR_STEALS),
+            Event::Quarantine { .. } => count(names::SUPERVISOR_QUARANTINES),
+            Event::Merge { merged, .. } => registry.counter(names::MERGE_UNITS).add(*merged as u64),
+            Event::RunStart { .. } | Event::RunEnd { .. } | Event::TornTail { .. } => {}
+        }
+    }
+
+    /// The supervisor's greppable diagnostic line, rendered from the
+    /// event's own fields: `SHARD-RETRY`, `SHARD-FAIL` or `SHARD-STEAL`.
+    /// `None` for every other event.
+    fn shard_line(&self) -> Option<String> {
+        Some(match self {
+            Event::Retry { shard, attempt, reason, backoff_ms } => format!(
+                "SHARD-RETRY shard={shard} attempt={attempt} backoff-ms={backoff_ms} \
+                 reason={reason}"
+            ),
+            Event::Quarantine { shard, attempts, reason, start, units } => format!(
+                "SHARD-FAIL shard={shard} attempts={attempts} range={start}..{} reason={reason}",
+                start + units
+            ),
+            Event::Steal { shard, reason, done, remaining, pieces, attempts, first_child } => {
+                let (attempts, first) = (attempts.unwrap_or(0), first_child.unwrap_or(0));
+                format!(
+                    "SHARD-STEAL shard={shard} attempts={attempts} reason={reason} done={done} \
+                     remaining={remaining} pieces={pieces} children={first}..{}",
+                    first + pieces
+                )
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// The one emit path of campaign lifecycle facts (see the module docs):
+/// a registry to fold every event into and, when telemetry is on, the
+/// events ledger to append it to.
+#[derive(Debug)]
+pub struct EventSink<'r> {
+    registry: &'r Registry,
+    ledger: Option<LedgerAppender>,
+}
+
+impl<'r> EventSink<'r> {
+    /// A sink folding into `registry` (`dynring_obs::global()` in
+    /// production) that also appends to the ledger at `ledger`, when
+    /// given.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Io`] opening the ledger.
+    pub fn open(registry: &'r Registry, ledger: Option<&Path>) -> Result<Self, CampaignError> {
+        let ledger = ledger.map(|path| EventLedger::new(path).appender()).transpose()?;
+        Ok(EventSink { registry, ledger })
+    }
+
+    /// Emits one event: folds it into the registry, prints its
+    /// `SHARD-…` line if it has one, and appends it to the open ledger.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Io`] / [`CampaignError::Json`] from the ledger.
+    pub fn emit(&mut self, event: Event) -> Result<(), CampaignError> {
+        event.fold_into(self.registry);
+        if let Some(line) = event.shard_line() {
+            // Retries go to stderr, quarantines and steals to stdout.
+            if matches!(event, Event::Retry { .. }) {
+                eprintln!("{line}");
+            } else {
+                println!("{line}");
+            }
+        }
+        self.ledger.as_mut().map_or(Ok(()), |app| app.append(event))
+    }
+
+    /// Flushes the open ledger to disk (`fdatasync`); a no-op without one.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Io`].
+    pub fn sync(&mut self) -> Result<(), CampaignError> {
+        self.ledger.as_mut().map_or(Ok(()), LedgerAppender::sync)
+    }
 }
 
 /// One ledger line: a wall-clock stamp plus the observation.
@@ -368,6 +498,7 @@ mod tests {
             covered: 8,
             replica_rounds: 640,
             wall_us: 1500,
+            fill: Some("full".into()),
         }
     }
 
@@ -441,6 +572,44 @@ mod tests {
         assert_eq!(loaded.skipped_lines, 1);
         assert_eq!(loaded.torn_bytes, 0);
         let _ = std::fs::remove_file(ledger.path());
+    }
+
+    #[test]
+    fn shard_lines_keep_their_pinned_text() {
+        let retry = Event::Retry {
+            shard: 0,
+            attempt: 1,
+            reason: "exit-status-113".into(),
+            backoff_ms: 10,
+        };
+        let fail = Event::Quarantine {
+            shard: 13,
+            attempts: 1,
+            reason: "killed".into(),
+            start: 37,
+            units: 1,
+        };
+        let steal = Event::Steal {
+            shard: 0,
+            reason: "killed".into(),
+            done: 37,
+            remaining: 23,
+            pieces: 3,
+            attempts: Some(1),
+            first_child: Some(4),
+        };
+        for (event, line) in [
+            (retry, "SHARD-RETRY shard=0 attempt=1 backoff-ms=10 reason=exit-status-113"),
+            (fail, "SHARD-FAIL shard=13 attempts=1 range=37..38 reason=killed"),
+            (
+                steal,
+                "SHARD-STEAL shard=0 attempts=1 reason=killed done=37 remaining=23 \
+                 pieces=3 children=4..7",
+            ),
+        ] {
+            assert_eq!(event.shard_line().as_deref(), Some(line));
+        }
+        assert_eq!(Event::Stall { shard: 0 }.shard_line(), None);
     }
 
     #[test]

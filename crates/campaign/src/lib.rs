@@ -100,7 +100,9 @@ pub mod trace;
 
 pub use aggregate::{aggregate, render, CampaignGroup, CampaignReport};
 pub use certify::{certify, render_verdict, CertifyFailure, CertifyOptions, CertifyVerdict};
-pub use events::{Event, EventLedger, EventRecord, LedgerAppender, LoadedLedger, EVENTS_SCHEMA};
+pub use events::{
+    Event, EventLedger, EventRecord, EventSink, LedgerAppender, LoadedLedger, EVENTS_SCHEMA,
+};
 pub use executor::{
     execute_unit, execute_unit_on, route_unit, Route, UnitMeasurement, UnitRecord,
 };

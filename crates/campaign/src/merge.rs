@@ -203,12 +203,11 @@ fn merge_impl(
     appender.sync()?;
     drop(appender);
     std::fs::rename(&tmp_path, out.path())?;
-    // Out-of-band merge accounting (the appender above already counted
-    // its raw writes and fsyncs).
-    let obs = dynring_obs::global();
-    obs.counter(dynring_obs::names::MERGE_UNITS).add(merged as u64);
+    // Out-of-band merge I/O accounting (the appender above already
+    // counted its raw writes and fsyncs; merged units are counted from
+    // the caller's `Event::Merge`).
     if let Ok(meta) = std::fs::metadata(out.path()) {
-        obs.counter(dynring_obs::names::MERGE_BYTES).add(meta.len());
+        dynring_obs::global().counter(dynring_obs::names::MERGE_BYTES).add(meta.len());
     }
     Ok(MergeOutcome { shards: shards.len(), merged, held_back, missing, sealed })
 }

@@ -411,6 +411,7 @@ mod tests {
                 covered: 6,
                 replica_rounds: 1000,
                 wall_us,
+                fill: (route == "batch").then(|| "full".to_string()),
             },
         }
     }

@@ -18,9 +18,8 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dynring_analysis::parallel::{available_workers, stream_map};
-use dynring_obs::{labeled, names};
 
-use crate::events::{Event, EventLedger, LedgerAppender, EVENTS_SCHEMA};
+use crate::events::{Event, EventSink, EVENTS_SCHEMA};
 use crate::executor::{execute_unit, route_unit, UnitRecord};
 use crate::fault::FailPlan;
 use crate::shard::ShardSel;
@@ -223,24 +222,16 @@ pub fn run_campaign(
         })?;
     }
     // Out-of-band telemetry: the process registry always counts; the
-    // events ledger (when enabled) additionally records per-unit and
-    // per-wave observations. Nothing here touches the store appender's
-    // bytes.
-    let obs = dynring_obs::global();
-    let mut ledger = match &opts.events {
-        Some(path) => {
-            let mut app = EventLedger::new(path).appender()?;
-            app.append(Event::RunStart {
-                schema: EVENTS_SCHEMA.into(),
-                name: plan.name.clone(),
-                spec_hash: plan.spec_hash.clone(),
-                planned: slice.len(),
-                skipped,
-            })?;
-            Some(app)
-        }
-        None => None,
-    };
+    // events ledger (when enabled) additionally records every event.
+    // Nothing here touches the store appender's bytes.
+    let mut sink = EventSink::open(dynring_obs::global(), opts.events.as_deref())?;
+    sink.emit(Event::RunStart {
+        schema: EVENTS_SCHEMA.into(),
+        name: plan.name.clone(),
+        spec_hash: plan.spec_hash.clone(),
+        planned: slice.len(),
+        skipped,
+    })?;
     // Waves bound interruption loss: the committer fsyncs after every
     // `wave_size` records, so a power cut loses at most one wave. The wave
     // size only shapes latency, never bytes (records are appended in plan
@@ -267,7 +258,7 @@ pub fn run_campaign(
         },
         |(result, wall)| {
             let record = result?;
-            observe_unit(obs, ledger.as_mut(), &record, wall)?;
+            sink.emit(unit_event(&record, wall))?;
             appender.append_record(record)?;
             executed += 1;
             if executed - synced < wave_size && executed < budget {
@@ -278,12 +269,8 @@ pub fn run_campaign(
             let now = Instant::now();
             let wave_us = u64::try_from((now - wave_start).as_micros()).unwrap_or(u64::MAX);
             wave_start = now;
-            obs.counter(names::CAMPAIGN_WAVES).inc();
-            obs.histogram(names::CAMPAIGN_WAVE_WALL_US).record(wave_us);
-            if let Some(app) = ledger.as_mut() {
-                app.append(Event::Wave { units: executed - synced, wall_us: wave_us })?;
-                app.sync()?;
-            }
+            sink.emit(Event::Wave { units: executed - synced, wall_us: wave_us })?;
+            sink.sync()?;
             synced = executed;
             Ok(())
         },
@@ -301,10 +288,8 @@ pub fn run_campaign(
         appender.seal()?;
         appender.sync()?;
     }
-    if let Some(app) = ledger.as_mut() {
-        app.append(Event::RunEnd { executed, pending: pending.len() - executed })?;
-        app.sync()?;
-    }
+    sink.emit(Event::RunEnd { executed, pending: pending.len() - executed })?;
+    sink.sync()?;
     Ok(RunOutcome {
         planned: slice.len(),
         skipped,
@@ -313,59 +298,33 @@ pub fn run_campaign(
     })
 }
 
-/// Records one executed unit into the process registry and (when
-/// enabled) the events ledger. Strictly observational: the record is
-/// appended to the store unchanged afterwards.
-fn observe_unit(
-    obs: &dynring_obs::Registry,
-    ledger: Option<&mut LedgerAppender>,
-    record: &UnitRecord,
-    wall: Duration,
-) -> Result<(), CampaignError> {
+/// The [`Event::Unit`] of one executed record. Strictly observational:
+/// the record is appended to the store unchanged afterwards.
+fn unit_event(record: &UnitRecord, wall: Duration) -> Event {
     let unit = &record.unit;
     let route = route_unit(unit);
-    let route_name = route.name();
-    let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
     let uncovered = record.result.replicas.saturating_sub(record.result.covered) as u64;
-    let replica_rounds = record.result.total_cover_time + uncovered * unit.horizon;
-    obs.counter(&labeled(names::CAMPAIGN_UNITS, &[("route", route_name)])).inc();
-    obs.counter(&labeled(names::CAMPAIGN_REPLICA_ROUNDS, &[("route", route_name)]))
-        .add(replica_rounds);
-    obs.histogram(&labeled(names::CAMPAIGN_UNIT_WALL_US, &[("route", route_name)]))
-        .record(wall_us);
-    let arity = route.arity().map_or(0, |a| a.lanes() as u64);
-    if route.is_batch() {
-        obs.counter(&labeled(
-            names::CAMPAIGN_BATCH_ARITY_UNITS,
-            &[("arity", &arity.to_string())],
-        ))
-        .inc();
-        // The batch-eligible dynamics (pure Bernoulli banks) all
-        // support the sparse gather, so the engine's size cutover alone
-        // decides the fill mode (a ring has as many edges as nodes).
-        let mode = if dynring_engine::sparse_fill_default(unit.robots, unit.ring_size) {
-            "sparse"
-        } else {
-            "full"
-        };
-        obs.counter(&labeled(names::CAMPAIGN_SPARSE_GATHER_UNITS, &[("mode", mode)])).inc();
+    // The batch-eligible dynamics (pure Bernoulli banks) all support the
+    // sparse gather, so the engine's size cutover alone decides the fill
+    // mode (a ring has as many edges as nodes).
+    let fill = route.is_batch().then(|| {
+        let sparse = dynring_engine::sparse_fill_default(unit.robots, unit.ring_size);
+        if sparse { "sparse" } else { "full" }.to_string()
+    });
+    Event::Unit {
+        hash: record.hash.clone(),
+        index: record.index,
+        algorithm: unit.algorithm.name().into(),
+        dynamics: unit.dynamics.name().into(),
+        scheduler: unit.scheduler.name().into(),
+        route: record.route.clone(),
+        arity: route.arity().map_or(0, |a| a.lanes() as u64),
+        replicas: record.result.replicas,
+        covered: record.result.covered,
+        replica_rounds: record.result.total_cover_time + uncovered * unit.horizon,
+        wall_us: u64::try_from(wall.as_micros()).unwrap_or(u64::MAX),
+        fill,
     }
-    if let Some(app) = ledger {
-        app.append(Event::Unit {
-            hash: record.hash.clone(),
-            index: record.index,
-            algorithm: unit.algorithm.name().into(),
-            dynamics: unit.dynamics.name().into(),
-            scheduler: unit.scheduler.name().into(),
-            route: record.route.clone(),
-            arity,
-            replicas: record.result.replicas,
-            covered: record.result.covered,
-            replica_rounds,
-            wall_us,
-        })?;
-    }
-    Ok(())
 }
 
 /// Loads a store and folds it into the report for `spec`.

@@ -25,36 +25,44 @@
 //! With stealing enabled (the default), exhausting a shard's retries no
 //! longer quarantines it outright: the supervisor *re-shards* — it reads
 //! the plan-order prefix the dead shard's store holds, retires the entry
-//! at that prefix, and splits the rest into child sub-shards handed to
-//! fresh worker slots ([`crate::shard::ShardManifest::split_entry`]),
-//! announced by a greppable `SHARD-STEAL shard=… done=… remaining=…
-//! pieces=…` line. The split is fsynced into the manifest *before* any
-//! child spawns, so an arbitrarily-killed supervisor resumes the
-//! re-sharded topology exactly. Splits strictly shrink (an empty parent
-//! splits into at least two pieces), so a deterministic poison converges
-//! to a terminal one-unit quarantine — `SHARD-FAIL … range=X..Y …` names
-//! exactly the units still missing — while everything else completes.
-//! A shard that outlives the whole surviving fleet past
-//! [`SuperviseOptions::steal_after_ms`] is treated the same way
+//! at that prefix, and splits the rest into `clamp(idle, 1, remaining)`
+//! child sub-shards (`idle` = completed slots; at least 2 when nothing
+//! was done) handed to fresh worker slots
+//! ([`crate::shard::ShardManifest::split_entry`]), announced by one
+//! greppable `SHARD-STEAL shard=… attempts=… reason=… done=… remaining=…
+//! pieces=… children=A..B` line per steal. The split is fsynced into the
+//! manifest *before* any child spawns, so an arbitrarily-killed
+//! supervisor resumes the re-sharded topology exactly. Splits strictly
+//! shrink, so a deterministic poison converges to a terminal one-unit
+//! quarantine — `SHARD-FAIL … range=X..Y …` names exactly the units
+//! still missing — while everything else completes. A shard still
+//! running [`SuperviseOptions::steal_after_ms`] after its latest spawn,
+//! once every other shard has settled, is treated the same way
 //! (`reason=straggler`): killed, retired at its prefix, remainder stolen.
+//!
+//! Every lifecycle fact (spawn, stall, retry, steal, quarantine) is one
+//! [`EventSink::emit`]: the registry counter, the ledger line and the
+//! `SHARD-…` diagnostic all come from that one [`Event`].
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant, SystemTime};
 
 use dynring_analysis::seeds::backoff_jitter_ms;
-use dynring_obs::names as obs_names;
 use serde::Serialize;
 
-use crate::events::{Event, EventLedger, LedgerAppender};
+use crate::events::{Event, EventLedger, EventSink};
 use crate::fault::SHARD_ATTEMPT_ENV;
 use crate::metrics::coarse_rate;
-use crate::shard::ShardManifest;
+use crate::shard::{ShardEntry, ShardManifest};
 use crate::store::ResultStore;
 use crate::CampaignError;
 
 /// Exponential backoff is capped here regardless of attempt count.
 const BACKOFF_CAP_MS: u64 = 30_000;
+
+/// Supervisor poll interval.
+const POLL: Duration = Duration::from_millis(50);
 
 /// Knobs of one supervisor invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,8 +79,6 @@ pub struct SuperviseOptions {
     /// A shard whose store mtime stalls longer than this is declared
     /// hung, killed and retried.
     pub heartbeat_timeout_ms: u64,
-    /// Supervisor poll interval.
-    pub poll_ms: u64,
     /// Print a per-shard progress table to stderr roughly once a second.
     pub progress: bool,
     /// With `progress`: emit JSON lines instead of the table.
@@ -101,7 +107,6 @@ impl Default for SuperviseOptions {
             max_retries: 3,
             backoff_ms: 250,
             heartbeat_timeout_ms: 30_000,
-            poll_ms: 50,
             progress: false,
             progress_json: false,
             steal: true,
@@ -182,6 +187,28 @@ pub struct ShardProgress {
     /// One-word state: `sealed`, `complete`, `torn`, `open`, `empty`,
     /// `running`, `backoff` or `quarantined`.
     pub state: String,
+}
+
+impl ShardProgress {
+    /// The row of a manifest shard: [`shard_progress`] over its range,
+    /// or a `corrupt` row when its store cannot be read.
+    pub fn of_shard(store: &ResultStore, shard: usize, units: usize, attempts: usize) -> Self {
+        let mut row = shard_progress(store, shard, Some(units)).unwrap_or_else(|_| ShardProgress {
+            shard,
+            store: store.path().display().to_string(),
+            completed: 0,
+            total: units,
+            units_per_sec: None,
+            eta_secs: None,
+            sealed: false,
+            torn: false,
+            torn_bytes: 0,
+            attempts: None,
+            state: "corrupt".into(),
+        });
+        row.attempts = Some(attempts);
+        row
+    }
 }
 
 /// Reads one store into a static [`ShardProgress`] row. Rate/ETA are
@@ -309,6 +336,22 @@ struct WorkerSlot {
 }
 
 impl WorkerSlot {
+    fn new(entry: &ShardEntry) -> Self {
+        WorkerSlot {
+            shard: entry.index,
+            store: ResultStore::new(Path::new(&entry.store)),
+            log: PathBuf::from(format!("{}.log", entry.store)),
+            units: entry.units,
+            child: None,
+            spawned: Instant::now(),
+            restart_at: None,
+            done: false,
+            quarantined: false,
+            sample: None,
+            rate: None,
+        }
+    }
+
     fn settled(&self) -> bool {
         self.done || self.quarantined
     }
@@ -324,10 +367,9 @@ fn spawn_worker(
     manifest_path: &Path,
     slot: &mut WorkerSlot,
     attempt: usize,
-    workers: usize,
-    ledger: &mut Option<LedgerAppender>,
+    opts: &SuperviseOptions,
+    sink: &mut EventSink,
 ) -> Result<(), CampaignError> {
-    let telemetry = ledger.is_some();
     let log = std::fs::OpenOptions::new().create(true).append(true).open(&slot.log)?;
     let mut command = Command::new(exe);
     command
@@ -340,8 +382,8 @@ fn spawn_worker(
         .arg("--index")
         .arg(slot.shard.to_string())
         .arg("--workers")
-        .arg(workers.to_string());
-    if telemetry {
+        .arg(opts.workers_per_proc.to_string());
+    if opts.events.is_some() {
         // Forward telemetry: the child snapshots its own registry and
         // appends per-unit events to its shard store's ledger.
         command
@@ -357,11 +399,7 @@ fn spawn_worker(
     slot.child = Some(child);
     slot.spawned = Instant::now();
     slot.restart_at = None;
-    dynring_obs::global().counter(obs_names::SUPERVISOR_SPAWNS).inc();
-    if let Some(app) = ledger.as_mut() {
-        app.append(Event::Spawn { shard: slot.shard, attempt })?;
-    }
-    Ok(())
+    sink.emit(Event::Spawn { shard: slot.shard, attempt })
 }
 
 /// Runs every shard of `manifest` as a supervised `campaign work` child
@@ -383,34 +421,17 @@ pub fn supervise(
     manifest: &mut ShardManifest,
     opts: &SuperviseOptions,
 ) -> Result<SuperviseOutcome, CampaignError> {
-    let now0 = Instant::now();
-    let obs = dynring_obs::global();
-    let mut ledger: Option<LedgerAppender> = match &opts.events {
-        Some(path) => Some(EventLedger::new(path).appender()?),
-        None => None,
-    };
+    let mut sink = EventSink::open(dynring_obs::global(), opts.events.as_deref())?;
     let mut slots: Vec<WorkerSlot> = manifest
         .entries
         .iter()
         .map(|e| {
-            let store = ResultStore::new(Path::new(&e.store));
+            let mut slot = WorkerSlot::new(e);
             // Retired entries hold exactly their truncated prefix; they
             // are never spawned. Everything else is probed.
-            let done =
-                e.retired || matches!(shard_health(&store, e.units), ShardHealth::Complete);
-            WorkerSlot {
-                shard: e.index,
-                log: PathBuf::from(format!("{}.log", e.store)),
-                store,
-                units: e.units,
-                child: None,
-                spawned: now0,
-                restart_at: None,
-                done,
-                quarantined: false,
-                sample: None,
-                rate: None,
-            }
+            slot.done =
+                e.retired || matches!(shard_health(&slot.store, e.units), ShardHealth::Complete);
+            slot
         })
         .collect();
 
@@ -423,19 +444,10 @@ pub fn supervise(
     manifest.write(manifest_path)?;
     for slot in slots.iter_mut().filter(|s| !s.done) {
         let attempt = manifest.entries[slot.shard].attempts - 1;
-        spawn_worker(
-            exe,
-            spec_path,
-            manifest_path,
-            slot,
-            attempt,
-            opts.workers_per_proc,
-            &mut ledger,
-        )?;
+        spawn_worker(exe, spec_path, manifest_path, slot, attempt, opts, &mut sink)?;
     }
 
     let timeout = Duration::from_millis(opts.heartbeat_timeout_ms.max(1));
-    let poll = Duration::from_millis(opts.poll_ms.clamp(10, 1000));
     let mut restarts = 0usize;
     let mut steals = 0usize;
     let mut quarantined: Vec<ShardFailure> = Vec::new();
@@ -456,7 +468,7 @@ pub fn supervise(
             // 1. A running child: reap it, kill it if its heartbeat
             //    (store mtime) stalled past the timeout, or kill it as a
             //    straggler when the rest of the fleet has settled and it
-            //    overstayed `steal_after_ms`.
+            //    is still running `steal_after_ms` after its spawn.
             let death: Option<String> = match &mut slot.child {
                 Some(child) => match child.try_wait()? {
                     Some(status) => {
@@ -476,29 +488,26 @@ pub fn supervise(
                                 .steal_after_ms
                                 .is_some_and(|ms| spawned_for > Duration::from_millis(ms))
                             && settled_before + 1 >= fleet;
-                        if spawned_for > timeout && age > timeout {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            slot.child = None;
-                            Some("stalled".into())
+                        let reason = if spawned_for > timeout && age > timeout {
+                            Some("stalled")
                         } else if straggling {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            slot.child = None;
-                            Some("straggler".into())
+                            Some("straggler")
                         } else {
                             None
+                        };
+                        if reason.is_some() {
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            slot.child = None;
                         }
+                        reason.map(String::from)
                     }
                 },
                 None => None,
             };
             if let Some(mut reason) = death {
                 if reason == "stalled" {
-                    obs.counter(obs_names::SUPERVISOR_STALLS).inc();
-                    if let Some(app) = ledger.as_mut() {
-                        app.append(Event::Stall { shard: slot.shard })?;
-                    }
+                    sink.emit(Event::Stall { shard: slot.shard })?;
                 }
                 match shard_health(&slot.store, slot.units) {
                     // Completed before dying (normal exit, or a fault
@@ -516,9 +525,9 @@ pub fn supervise(
                     }
                 }
                 let attempts = manifest.entries[slot.shard].attempts;
-                let exhausted =
-                    matches!(reason.as_str(), "store-corrupt") || attempts > opts.max_retries;
-                if exhausted || reason == "straggler" {
+                let corrupt = reason == "store-corrupt";
+                let straggler = reason == "straggler";
+                if corrupt || straggler || attempts > opts.max_retries {
                     // Steal what remains instead of giving up: retire the
                     // shard at the plan-order prefix its store holds and
                     // re-shard the rest — as long as the split can still
@@ -526,7 +535,6 @@ pub fn supervise(
                     // records cannot be trusted), so its whole range must
                     // be re-run and its empty retirement only shrinks
                     // when split at least two ways.
-                    let corrupt = matches!(reason.as_str(), "store-corrupt");
                     let done = if corrupt {
                         0
                     } else {
@@ -534,99 +542,50 @@ pub fn supervise(
                     };
                     let done = done.min(slot.units);
                     let remaining = slot.units - done;
-                    let splittable =
-                        opts.steal && remaining > 0 && (done > 0 || remaining >= 2);
-                    if splittable {
+                    if opts.steal && remaining > 0 && (done > 0 || remaining >= 2) {
                         steal_requests.push((idx, done, corrupt, reason));
-                    } else if reason == "straggler" {
-                        // Could not shrink (a 1-unit shard with nothing
-                        // done): fall back to an ordinary retry.
-                        let delay = backoff_delay(slot.shard, attempts, opts.backoff_ms);
-                        eprintln!(
-                            "SHARD-RETRY shard={} attempt={} backoff-ms={} reason={reason}",
-                            slot.shard,
-                            attempts,
-                            delay.as_millis()
-                        );
-                        obs.counter(obs_names::SUPERVISOR_RETRIES).inc();
-                        if let Some(app) = ledger.as_mut() {
-                            app.append(Event::Retry {
-                                shard: slot.shard,
-                                attempt: attempts,
-                                reason,
-                                backoff_ms: delay.as_millis() as u64,
-                            })?;
-                        }
-                        slot.restart_at = Some(Instant::now() + delay);
-                    } else {
-                        let entry = &manifest.entries[slot.shard];
-                        let (start, units) = (entry.start + done, remaining);
+                        continue;
+                    }
+                    if !straggler {
+                        let start = manifest.entries[slot.shard].start + done;
                         slot.quarantined = true;
-                        println!(
-                            "SHARD-FAIL shard={} attempts={attempts} range={start}..{} \
-                             reason={reason}",
-                            slot.shard,
-                            start + units
-                        );
-                        obs.counter(obs_names::SUPERVISOR_QUARANTINES).inc();
-                        if let Some(app) = ledger.as_mut() {
-                            app.append(Event::Quarantine {
-                                shard: slot.shard,
-                                attempts,
-                                reason: reason.clone(),
-                                start,
-                                units,
-                            })?;
-                        }
+                        sink.emit(Event::Quarantine {
+                            shard: slot.shard,
+                            attempts,
+                            reason: reason.clone(),
+                            start,
+                            units: remaining,
+                        })?;
                         quarantined.push(ShardFailure {
                             shard: slot.shard,
                             attempts,
                             reason,
                             start,
-                            units,
+                            units: remaining,
                         });
+                        continue;
                     }
-                } else {
-                    let delay = backoff_delay(slot.shard, attempts, opts.backoff_ms);
-                    eprintln!(
-                        "SHARD-RETRY shard={} attempt={} backoff-ms={} reason={reason}",
-                        slot.shard,
-                        attempts,
-                        delay.as_millis()
-                    );
-                    obs.counter(obs_names::SUPERVISOR_RETRIES).inc();
-                    if let Some(app) = ledger.as_mut() {
-                        app.append(Event::Retry {
-                            shard: slot.shard,
-                            attempt: attempts,
-                            reason,
-                            backoff_ms: delay.as_millis() as u64,
-                        })?;
-                    }
-                    slot.restart_at = Some(Instant::now() + delay);
+                    // A straggler that cannot shrink (a 1-unit shard with
+                    // nothing done) falls back to an ordinary retry.
                 }
+                let delay = backoff_delay(slot.shard, attempts, opts.backoff_ms);
+                sink.emit(Event::Retry {
+                    shard: slot.shard,
+                    attempt: attempts,
+                    reason,
+                    backoff_ms: delay.as_millis() as u64,
+                })?;
+                slot.restart_at = Some(Instant::now() + delay);
                 continue;
             }
             // 2. A shard waiting out its backoff: restart it, persisting
             //    the bumped attempt counter (fsynced) first.
-            if slot.child.is_none() {
-                if let Some(at) = slot.restart_at {
-                    if Instant::now() >= at {
-                        manifest.entries[slot.shard].attempts += 1;
-                        manifest.write(manifest_path)?;
-                        let attempt = manifest.entries[slot.shard].attempts - 1;
-                        spawn_worker(
-                            exe,
-                            spec_path,
-                            manifest_path,
-                            slot,
-                            attempt,
-                            opts.workers_per_proc,
-                            &mut ledger,
-                        )?;
-                        restarts += 1;
-                    }
-                }
+            if slot.child.is_none() && slot.restart_at.is_some_and(|at| Instant::now() >= at) {
+                manifest.entries[slot.shard].attempts += 1;
+                manifest.write(manifest_path)?;
+                let attempt = manifest.entries[slot.shard].attempts - 1;
+                spawn_worker(exe, spec_path, manifest_path, slot, attempt, opts, &mut sink)?;
+                restarts += 1;
             }
         }
         // 3. Perform the steals: split the manifest, fsync it, then (and
@@ -656,50 +615,21 @@ pub fn supervise(
                 manifest.entries[c].attempts = 1;
             }
             manifest.write(manifest_path)?;
-            println!(
-                "SHARD-STEAL shard={parent} attempts={attempts} reason={reason} \
-                 done={done} remaining={remaining} pieces={} children={}..{}",
-                children.len(),
-                children[0],
-                children[children.len() - 1] + 1
-            );
-            obs.counter(obs_names::SUPERVISOR_STEALS).inc();
-            if let Some(app) = ledger.as_mut() {
-                app.append(Event::Steal {
-                    shard: parent,
-                    reason: reason.clone(),
-                    done,
-                    remaining,
-                    pieces: children.len(),
-                })?;
-            }
+            sink.emit(Event::Steal {
+                shard: parent,
+                reason,
+                done,
+                remaining,
+                pieces: children.len(),
+                attempts: Some(attempts),
+                first_child: Some(children[0]),
+            })?;
             slots[idx].done = true;
             slots[idx].units = done;
             steals += 1;
             for &c in &children {
-                let entry = &manifest.entries[c];
-                let mut slot = WorkerSlot {
-                    shard: c,
-                    store: ResultStore::new(Path::new(&entry.store)),
-                    log: PathBuf::from(format!("{}.log", entry.store)),
-                    units: entry.units,
-                    child: None,
-                    spawned: Instant::now(),
-                    restart_at: None,
-                    done: false,
-                    quarantined: false,
-                    sample: None,
-                    rate: None,
-                };
-                spawn_worker(
-                    exe,
-                    spec_path,
-                    manifest_path,
-                    &mut slot,
-                    0,
-                    opts.workers_per_proc,
-                    &mut ledger,
-                )?;
+                let mut slot = WorkerSlot::new(&manifest.entries[c]);
+                spawn_worker(exe, spec_path, manifest_path, &mut slot, 0, opts, &mut sink)?;
                 slots.push(slot);
             }
             settled = false;
@@ -710,7 +640,7 @@ pub fn supervise(
                 .iter_mut()
                 .map(|slot| {
                     let attempts = manifest.entries[slot.shard].attempts;
-                    progress_row(slot, Some(attempts))
+                    progress_row(slot, attempts)
                 })
                 .collect();
             if opts.progress_json {
@@ -726,11 +656,9 @@ pub fn supervise(
         if settled {
             break;
         }
-        std::thread::sleep(poll);
+        std::thread::sleep(POLL);
     }
-    if let Some(app) = ledger.as_mut() {
-        app.sync()?;
-    }
+    sink.sync()?;
 
     Ok(SuperviseOutcome {
         shards: slots.len(),
@@ -743,23 +671,8 @@ pub fn supervise(
 
 /// Builds one live progress row, updating the slot's rate estimate from
 /// the previous observation.
-fn progress_row(slot: &mut WorkerSlot, attempts: Option<usize>) -> ShardProgress {
-    let mut row = shard_progress(&slot.store, slot.shard, Some(slot.units)).unwrap_or(
-        ShardProgress {
-            shard: slot.shard,
-            store: slot.store.path().display().to_string(),
-            completed: 0,
-            total: slot.units,
-            units_per_sec: None,
-            eta_secs: None,
-            sealed: false,
-            torn: false,
-            torn_bytes: 0,
-            attempts: None,
-            state: "corrupt".into(),
-        },
-    );
-    row.attempts = attempts;
+fn progress_row(slot: &mut WorkerSlot, attempts: usize) -> ShardProgress {
+    let mut row = ShardProgress::of_shard(&slot.store, slot.shard, slot.units, attempts);
     let now = Instant::now();
     if let Some((t0, c0)) = slot.sample {
         let dt = now.duration_since(t0).as_secs_f64();

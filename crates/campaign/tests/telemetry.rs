@@ -4,15 +4,19 @@
 //! the ledger narrates the run faithfully (RunStart → Unit… → Wave… →
 //! RunEnd), an arbitrarily torn ledger tail heals on reopen without
 //! losing intact events, and the `slow-unit` straggler injection shows
-//! up in the recorded wall times — never in the bytes.
+//! up in the recorded wall times — never in the bytes. The registry and
+//! the ledger can never disagree: folding a reloaded ledger reproduces
+//! the snapshot its events were emitted into.
 
 use proptest::prelude::*;
 
 use dynring_analysis::AlgorithmChoice;
 use dynring_campaign::{
     certify, run_campaign, summarize, CampaignSpec, CertifyOptions, Event, EventLedger,
-    PlacementAxis, ResultStore, RunOptions, UnitDynamics, UnitScheduler, EVENTS_SCHEMA,
+    EventSink, PlacementAxis, ResultStore, RunOptions, UnitDynamics, UnitScheduler,
+    EVENTS_SCHEMA,
 };
+use dynring_obs::{names, Registry};
 
 /// A small spec family mixing batch-routed (bernoulli) and serial
 /// (static) units, so both routes land in the ledger.
@@ -195,4 +199,96 @@ fn slow_unit_inflates_ledger_wall_time_not_bytes() {
     );
     cleanup(&plain);
     cleanup(&slow);
+}
+
+/// One event per generated tuple: `kind` picks the variant (the vendored
+/// proptest has no `prop_oneof!`), the numbers fill its fields.
+fn event_of((kind, a, b, c): (u8, u64, u64, u64)) -> Event {
+    let (ai, bi, ci) = (a as usize, b as usize, c as usize);
+    let reason = ["killed", "stalled", "straggler", "exit-status-113"][ci % 4].to_string();
+    match kind {
+        0 => Event::RunStart {
+            schema: EVENTS_SCHEMA.into(),
+            name: "fold".into(),
+            spec_hash: format!("{a:016x}"),
+            planned: ai,
+            skipped: bi,
+        },
+        1..=3 => {
+            let batch = c % 2 == 0;
+            Event::Unit {
+                hash: format!("{a:016x}"),
+                index: ai,
+                algorithm: ["PEF_3+", "PEF_2"][ci % 2].into(),
+                dynamics: "bernoulli".into(),
+                scheduler: "sync".into(),
+                route: if batch { "batch" } else { "serial" }.into(),
+                arity: if batch { 64 << (c % 3) } else { 0 },
+                replicas: ci,
+                covered: ci / 2,
+                replica_rounds: b,
+                wall_us: a,
+                fill: batch.then(|| ["sparse", "full"][ci % 2].to_string()),
+            }
+        }
+        4 => Event::Wave { units: ci, wall_us: b },
+        5 => Event::RunEnd { executed: ai, pending: bi },
+        6 => Event::Spawn { shard: ci, attempt: ai % 4 },
+        7 => Event::Stall { shard: ci },
+        8 => Event::Retry { shard: ci, attempt: ai % 4, reason, backoff_ms: b },
+        9 => Event::Steal {
+            shard: ci,
+            reason,
+            done: ai,
+            remaining: bi,
+            pieces: ci % 5 + 1,
+            attempts: Some(ai % 4),
+            first_child: Some(ci + 1),
+        },
+        10 => Event::Quarantine { shard: ci, attempts: ai % 4, reason, start: ai, units: ci },
+        11 => Event::Merge { shards: ci, merged: ai, sealed: c % 2 == 0 },
+        _ => Event::TornTail { bytes: a },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn folding_the_ledger_reproduces_the_snapshot(
+        tuples in proptest::collection::vec(
+            (0u8..13, 0u64..1_000_000, 0u64..1_000_000_000, 0u64..100),
+            0..48,
+        ),
+    ) {
+        let path = std::env::temp_dir().join("dynring_telemetry_fold.events.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let emitted = Registry::new();
+        let mut sink = EventSink::open(&emitted, Some(&path)).expect("opens");
+        for &tuple in &tuples {
+            sink.emit(event_of(tuple)).expect("emits");
+        }
+        sink.sync().expect("syncs");
+        drop(sink);
+
+        let loaded = EventLedger::new(&path).load().expect("ledger loads");
+        prop_assert_eq!(loaded.events.len(), tuples.len());
+        let folded = Registry::new();
+        for record in &loaded.events {
+            record.event.fold_into(&folded);
+        }
+        prop_assert_eq!(emitted.snapshot(), folded.snapshot());
+
+        let faults = summarize(&[loaded]).faults;
+        for (series, ledger) in [
+            (names::SUPERVISOR_SPAWNS, faults.spawns),
+            (names::SUPERVISOR_RETRIES, faults.retries),
+            (names::SUPERVISOR_STALLS, faults.stalls),
+            (names::SUPERVISOR_STEALS, faults.steals),
+            (names::SUPERVISOR_QUARANTINES, faults.quarantines),
+        ] {
+            prop_assert_eq!(emitted.counter(series).get(), ledger as u64, "{}", series);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
 }

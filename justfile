@@ -139,9 +139,13 @@ serial-equivalence:
 # the smoke spec with --metrics-out, check the store is byte-identical
 # to a plain run and still certifies at level 2, check the snapshot
 # carries the pinned metric names, and aggregate the events ledger with
-# `metrics show` / `top` / `diff`.
+# `metrics show` / `top` / `diff`. Then run it supervised over 2
+# processes with shard 1's first worker killed: the store must still
+# match the plain one, the log must carry the SHARD-RETRY line and the
+# ledger the retry.
 obs-smoke:
     rm -f target/obs-smoke.jsonl target/obs-smoke.jsonl.events.jsonl target/obs-smoke-plain.jsonl target/obs-metrics.json
+    rm -rf target/obs-sup.jsonl target/obs-sup.jsonl.events.jsonl target/obs-sup.jsonl.manifest.json target/obs-sup.jsonl.shards target/obs-sup-metrics.json target/obs-sup.log
     cargo run --release -- campaign run --spec examples/campaign_smoke.json --store target/obs-smoke-plain.jsonl
     cargo run --release -- campaign run --spec examples/campaign_smoke.json --store target/obs-smoke.jsonl --metrics-out target/obs-metrics.json
     cmp target/obs-smoke.jsonl target/obs-smoke-plain.jsonl
@@ -153,3 +157,7 @@ obs-smoke:
     cargo run --release -- metrics show target/obs-smoke.jsonl.events.jsonl
     cargo run --release -- metrics top target/obs-smoke.jsonl.events.jsonl --limit 5
     cargo run --release -- metrics diff target/obs-smoke.jsonl.events.jsonl target/obs-smoke.jsonl.events.jsonl > /dev/null
+    DYNRING_WORKER_FAULT=exit-after-units:3 DYNRING_WORKER_FAULT_SHARD=1 cargo run --release -- campaign run --spec examples/campaign_smoke.json --store target/obs-sup.jsonl --procs 2 --backoff-ms 50 --metrics-out target/obs-sup-metrics.json > target/obs-sup.log 2>&1
+    cmp target/obs-sup.jsonl target/obs-smoke-plain.jsonl
+    grep -q 'SHARD-RETRY shard=1' target/obs-sup.log
+    cargo run --release -- metrics show target/obs-sup.jsonl.events.jsonl | grep -q 'retries=1'

@@ -5,6 +5,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
@@ -13,6 +14,9 @@ use dynring_analysis::{
     run_on_schedule, run_replicas, run_scenario, run_scenario_capturing, run_table1,
     AlgorithmChoice, DynamicsChoice, MonteCarloConfig, PlacementSpec, Scenario, ScenarioReport,
     SuccessCriteria, Table1Options,
+};
+use dynring_campaign::{
+    CampaignError, Event, EventLedger, EventSink, MergeOutcome, ResultStore,
 };
 use dynring_graph::ScriptedSchedule;
 
@@ -84,19 +88,19 @@ killed supervisor resumes the re-sharded topology exactly. Only a shard
 that can no longer shrink (a single poisoned unit, typically) is
 quarantined with a `SHARD-FAIL … range=X..Y …` line naming exactly the
 lost units. --no-steal restores the quarantine-on-exhaustion behaviour;
---steal-after-ms T additionally steals from a straggler still running
-T ms after the rest of the fleet settled. Supervisor exit codes are
-distinct: 0 = complete, 3 = quarantined-but-partial (the other shards
-finished; resume to continue), 1 = spawn/config failure, 2 = usage
-error. `shard` writes the manifest (with --index I it also prints that
-shard's unit range); `work` runs one shard by manifest index; `merge`
-folds shard stores — generation splits included — into one canonical
-store, refusing overlapping/foreign/out-of-range/gapped shards with
-`MERGE-CONFLICT` diagnostics and sealing only when every planned unit is
-present; `status` prints per-store progress (one table row per store,
-or JSON with --json; rows carry torn-tail bytes, and with
---manifest FILE they come from the shard manifest with per-shard ranges
-and attempt counts).
+--steal-after-ms T additionally steals from a straggler still running T
+ms after its latest spawn once every other shard has settled.
+Supervisor exit codes are distinct: 0 = complete, 3 =
+quarantined-but-partial (the other shards finished; resume to
+continue), 1 = spawn/config failure, 2 = usage error. `shard` writes
+the manifest (with --index I it also prints that shard's unit range);
+`work` runs one shard by manifest index; `merge` folds shard stores —
+generation splits included — into one canonical store, refusing
+overlapping/foreign/out-of-range/gapped shards with `MERGE-CONFLICT`
+diagnostics and sealing only when every planned unit is present;
+`status` prints per-store progress (one table row per store, or JSON
+with --json; rows carry torn-tail bytes, and with --manifest FILE they
+come from the shard manifest with per-shard ranges and attempt counts).
 With --metrics-out FILE, `run`/`resume`/`work`/`merge` additionally
 record *out-of-band* telemetry (see docs/OBSERVABILITY.md): per-unit
 wall time, route and arity, wave timing, store/merge I/O counters and
@@ -223,7 +227,7 @@ pub enum Command {
         /// their remaining range into sub-shards.
         no_steal: bool,
         /// Supervisor: steal from a shard still running this long after
-        /// the rest of the fleet settled.
+        /// its latest spawn once every other shard has settled.
         steal_after_ms: Option<u64>,
         /// Supervisor: print a per-shard progress table while running.
         progress: bool,
@@ -529,6 +533,20 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         if let Some(key) = flags.find(|k| !known.contains(k)) {
             return Err(err(format!("unknown flag --{key} for {name}")));
         }
+        // Likewise a stray word: only the store and ledger lists of
+        // `campaign status|merge` and `metrics`, and certify's one STORE,
+        // take positional arguments.
+        let taken = match *name {
+            "campaign status" | "campaign merge" | "metrics show" | "metrics top"
+            | "metrics diff" => usize::MAX,
+            "certify" => 1,
+            _ => 0,
+        };
+        let mut words =
+            positional[name.split(' ').count()..].iter().filter(|a| !a.starts_with("--"));
+        if let Some(word) = words.nth(taken) {
+            return Err(err(format!("unknown argument {word} for {name}")));
+        }
     }
     match command {
         "capture" => {
@@ -762,6 +780,29 @@ fn write_metrics_snapshot(path: &str) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+/// The events ledger of the store at `store` when `--metrics-out` is on.
+fn events_ledger(store: &str, metrics_out: &Option<String>) -> Option<PathBuf> {
+    metrics_out.as_ref().map(|_| EventLedger::for_store(Path::new(store)).path().to_path_buf())
+}
+
+/// Emits the [`Event::Merge`] of a merge into the store at `out_path`
+/// (into its events ledger too under `--metrics-out`): the one merge
+/// emit of `campaign merge` and the supervisor's final merge.
+fn emit_merge(
+    out_path: &str,
+    metrics_out: &Option<String>,
+    outcome: &MergeOutcome,
+) -> Result<(), CampaignError> {
+    let ledger = events_ledger(out_path, metrics_out);
+    let mut sink = EventSink::open(dynring_obs::global(), ledger.as_deref())?;
+    sink.emit(Event::Merge {
+        shards: outcome.shards,
+        merged: outcome.merged,
+        sealed: outcome.sealed,
+    })?;
+    sink.sync()
+}
+
 /// Executes a parsed command, printing results to stdout.
 ///
 /// # Errors
@@ -923,17 +964,14 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             json,
             metrics_out,
         } => {
-            use std::path::Path;
-
             use dynring_analysis::parallel::available_workers;
             use dynring_campaign::fault::{
                 ProcessFault, SHARD_ATTEMPT_ENV, WORKER_FAULT_EXIT_CODE,
             };
             use dynring_campaign::{
                 load_report, merge_manifest, merge_stores, render, render_progress,
-                run_campaign, shard_progress, supervise, CampaignError, Event, EventLedger,
-                FailPlan, FaultKind, ResultStore, RunOptions, ShardManifest, ShardSel,
-                SuperviseOptions,
+                run_campaign, shard_progress, supervise, FailPlan, FaultKind, RunOptions,
+                ShardManifest, ShardProgress, ShardSel, SuperviseOptions,
             };
 
             // `status` is spec-free: each store is read on its own terms
@@ -944,28 +982,10 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                 let mut rows = Vec::new();
                 if let Some(mpath) = &manifest {
                     let man = ShardManifest::load(Path::new(mpath))?;
-                    for e in &man.entries {
-                        let mut row = shard_progress(
-                            &ResultStore::new(&e.store),
-                            e.index,
-                            Some(e.units),
-                        )
-                        .unwrap_or_else(|_| dynring_campaign::ShardProgress {
-                            shard: e.index,
-                            store: e.store.clone(),
-                            completed: 0,
-                            total: e.units,
-                            units_per_sec: None,
-                            eta_secs: None,
-                            sealed: false,
-                            torn: false,
-                            torn_bytes: 0,
-                            attempts: None,
-                            state: "corrupt".into(),
-                        });
-                        row.attempts = Some(e.attempts);
-                        rows.push(row);
-                    }
+                    rows.extend(man.entries.iter().map(|e| {
+                        let store = ResultStore::new(&e.store);
+                        ShardProgress::of_shard(&store, e.index, e.units, e.attempts)
+                    }));
                 }
                 let base = rows.len();
                 for (i, s) in stores.iter().enumerate() {
@@ -1036,143 +1056,78 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                     // The shard runs its manifest *range*, not a balanced
                     // index: after a steal the entry may be a generation
                     // child covering an arbitrary sub-range.
-                    let mut base = RunOptions {
+                    let mut opts = RunOptions {
                         workers: workers.unwrap_or_else(available_workers),
                         max_units,
                         fresh: false,
                         fault: None,
-                        shard: Some(ShardSel::Range {
-                            start: entry.start,
-                            units: entry.units,
-                        }),
+                        shard: Some(ShardSel::Range { start: entry.start, units: entry.units }),
                         poison: None,
-                        events: metrics_out.as_ref().map(|_| {
-                            EventLedger::for_store(Path::new(&entry.store))
-                                .path()
-                                .to_path_buf()
-                        }),
+                        events: events_ledger(&entry.store, &metrics_out),
                         slow_unit: None,
                     };
-                    if let Some(ProcessFault::SlowUnit { index: i, ms }) = &fault {
-                        let hash = plan
-                            .units
-                            .get(*i)
-                            .ok_or_else(|| {
-                                CliError(format!(
-                                    "slow-unit index {i} out of range ({} units)",
-                                    plan.units.len()
-                                ))
-                            })?
-                            .hash
-                            .clone();
-                        base.slow_unit = Some((hash, *ms));
+                    let unit_hash = |i: usize, what: &str| {
+                        let units = plan.units.len();
+                        plan.units.get(i).map(|u| u.hash.clone()).ok_or_else(|| {
+                            CliError(format!("{what} {i} out of range ({units} units)"))
+                        })
+                    };
+                    match &fault {
+                        None => {}
+                        Some(ProcessFault::SlowUnit { index: i, ms }) => {
+                            opts.slow_unit = Some((unit_hash(*i, "slow-unit index")?, *ms));
+                        }
+                        Some(ProcessFault::KillAfterBytes(after_bytes)) => {
+                            let kill = FaultKind::Kill { after_bytes: *after_bytes };
+                            opts.fault = Some(FailPlan::new(kill));
+                        }
+                        Some(ProcessFault::IoErrorAfterUnits(k)) => {
+                            // The fault counts units appended *by this
+                            // invocation*; the store trigger is an absolute
+                            // record index, so offset by what's there. The
+                            // injected io::Error surfaces as a plain runtime
+                            // error: worker exits 1, nothing torn.
+                            let existing =
+                                shard_store.load().map(|l| l.records.len()).unwrap_or(0);
+                            let io = FaultKind::IoError { record: existing + k };
+                            opts.fault = Some(FailPlan::new(io));
+                        }
+                        Some(ProcessFault::PoisonUnit(hash)) => opts.poison = Some(hash.clone()),
+                        Some(ProcessFault::PoisonIndex(i)) => {
+                            opts.poison = Some(unit_hash(*i, "poison-index")?);
+                        }
+                        Some(
+                            ProcessFault::ExitAfterUnits(k) | ProcessFault::StallAfterUnits(k),
+                        ) => {
+                            // Execute exactly k units (store fsynced per
+                            // wave), then die or hang as instructed below.
+                            opts.max_units = Some((*k).min(max_units.unwrap_or(usize::MAX)));
+                        }
                     }
                     println!(
                         "shard {idx}/{}: {} units, attempt {attempt} (store {})",
                         man.shards, entry.units, entry.store
                     );
-                    match &fault {
-                        None | Some(ProcessFault::SlowUnit { .. }) => {
-                            let outcome = run_campaign(&campaign, &shard_store, &base)?;
-                            println!(
-                                "shard {idx}: {} executed, {} skipped, {} pending",
-                                outcome.executed, outcome.skipped, outcome.pending
-                            );
+                    let outcome = match run_campaign(&campaign, &shard_store, &opts) {
+                        // Die like `kill -9` would: no unwind, no cleanup,
+                        // torn tail left behind. Whoever draws a poisoned
+                        // unit dies on the spot, wherever the steal moved
+                        // it: everything before it is fsynced.
+                        Err(CampaignError::InjectedFault(_)) => std::process::abort(),
+                        result => result?,
+                    };
+                    println!(
+                        "shard {idx}: {} executed, {} skipped, {} pending",
+                        outcome.executed, outcome.skipped, outcome.pending
+                    );
+                    match fault {
+                        Some(ProcessFault::StallAfterUnits(_)) if !outcome.is_complete() => loop {
+                            std::thread::sleep(std::time::Duration::from_secs(3600));
+                        },
+                        Some(ProcessFault::ExitAfterUnits(_)) if !outcome.is_complete() => {
+                            std::process::exit(WORKER_FAULT_EXIT_CODE)
                         }
-                        Some(ProcessFault::KillAfterBytes(after_bytes)) => {
-                            let opts = RunOptions {
-                                fault: Some(FailPlan::new(FaultKind::Kill {
-                                    after_bytes: *after_bytes,
-                                })),
-                                ..base
-                            };
-                            match run_campaign(&campaign, &shard_store, &opts) {
-                                Err(CampaignError::InjectedFault(_)) => {
-                                    // Die like `kill -9` would: no unwind,
-                                    // no cleanup, torn tail left behind.
-                                    std::process::abort();
-                                }
-                                other => {
-                                    other?;
-                                }
-                            }
-                        }
-                        Some(ProcessFault::IoErrorAfterUnits(k)) => {
-                            // The fault counts units appended *by this
-                            // invocation*; the store trigger is an absolute
-                            // record index, so offset by what's there.
-                            let existing = shard_store
-                                .load()
-                                .map(|l| l.records.len())
-                                .unwrap_or(0);
-                            let opts = RunOptions {
-                                fault: Some(FailPlan::new(FaultKind::IoError {
-                                    record: existing + k,
-                                })),
-                                ..base
-                            };
-                            // The injected io::Error surfaces as a plain
-                            // runtime error: worker exits 1, nothing torn.
-                            let outcome = run_campaign(&campaign, &shard_store, &opts)?;
-                            println!(
-                                "shard {idx}: {} executed, {} skipped, {} pending",
-                                outcome.executed, outcome.skipped, outcome.pending
-                            );
-                        }
-                        Some(ProcessFault::PoisonUnit(_))
-                        | Some(ProcessFault::PoisonIndex(_)) => {
-                            let hash = match &fault {
-                                Some(ProcessFault::PoisonUnit(h)) => h.clone(),
-                                Some(ProcessFault::PoisonIndex(i)) => plan
-                                    .units
-                                    .get(*i)
-                                    .ok_or_else(|| {
-                                        CliError(format!(
-                                            "poison-index {i} out of range ({} units)",
-                                            plan.units.len()
-                                        ))
-                                    })?
-                                    .hash
-                                    .clone(),
-                                _ => unreachable!(),
-                            };
-                            let opts = RunOptions { poison: Some(hash), ..base };
-                            match run_campaign(&campaign, &shard_store, &opts) {
-                                Err(CampaignError::InjectedFault(_)) => {
-                                    // Whoever draws the poisoned unit dies
-                                    // on the spot, wherever the steal moved
-                                    // it: everything before it is fsynced.
-                                    std::process::abort();
-                                }
-                                other => {
-                                    let outcome = other?;
-                                    println!(
-                                        "shard {idx}: {} executed, {} skipped, {} pending",
-                                        outcome.executed, outcome.skipped, outcome.pending
-                                    );
-                                }
-                            }
-                        }
-                        Some(ProcessFault::ExitAfterUnits(k))
-                        | Some(ProcessFault::StallAfterUnits(k)) => {
-                            // Execute exactly k units (store fsynced per
-                            // wave), then die or hang as instructed.
-                            let head = RunOptions {
-                                max_units: Some((*k).min(max_units.unwrap_or(usize::MAX))),
-                                ..base
-                            };
-                            let outcome = run_campaign(&campaign, &shard_store, &head)?;
-                            if !outcome.is_complete() {
-                                if matches!(fault, Some(ProcessFault::StallAfterUnits(_))) {
-                                    loop {
-                                        std::thread::sleep(
-                                            std::time::Duration::from_secs(3600),
-                                        );
-                                    }
-                                }
-                                std::process::exit(WORKER_FAULT_EXIT_CODE);
-                            }
-                        }
+                        _ => {}
                     }
                     if let Some(path) = &metrics_out {
                         write_metrics_snapshot(path)?;
@@ -1191,16 +1146,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                             stores.iter().map(ResultStore::new).collect();
                         merge_stores(&campaign, &shard_stores, &out_store)?
                     };
-                    if metrics_out.is_some() {
-                        let mut app =
-                            EventLedger::for_store(Path::new(&out_path)).appender()?;
-                        app.append(Event::Merge {
-                            shards: outcome.shards,
-                            merged: outcome.merged,
-                            sealed: outcome.sealed,
-                        })?;
-                        app.sync()?;
-                    }
+                    emit_merge(&out_path, &metrics_out, &outcome)?;
                     println!(
                         "merged {} units from {} shard stores into {out_path}",
                         outcome.merged, outcome.shards
@@ -1266,16 +1212,11 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                             max_retries,
                             backoff_ms,
                             heartbeat_timeout_ms,
-                            poll_ms: 50,
                             steal: !no_steal,
                             steal_after_ms,
                             progress,
                             progress_json: json,
-                            events: metrics_out.as_ref().map(|_| {
-                                EventLedger::for_store(Path::new(&store_path))
-                                    .path()
-                                    .to_path_buf()
-                            }),
+                            events: events_ledger(&store_path, &metrics_out),
                         };
                         println!(
                             "campaign `{}`: {} shards × {} workers over {} units \
@@ -1315,16 +1256,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                             );
                         } else {
                             let merged = merge_manifest(&campaign, &man, &result_store)?;
-                            if metrics_out.is_some() {
-                                let mut app = EventLedger::for_store(Path::new(&store_path))
-                                    .appender()?;
-                                app.append(Event::Merge {
-                                    shards: merged.shards,
-                                    merged: merged.merged,
-                                    sealed: merged.sealed,
-                                })?;
-                                app.sync()?;
-                            }
+                            emit_merge(&store_path, &metrics_out, &merged)?;
                             println!(
                                 "merged {} units into {store_path} (sealed: {}); \
                                  certify with: dynring certify {store_path} --spec \
@@ -1344,11 +1276,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                         fault: None,
                         shard: None,
                         poison: None,
-                        events: metrics_out.as_ref().map(|_| {
-                            EventLedger::for_store(Path::new(&store_path))
-                                .path()
-                                .to_path_buf()
-                        }),
+                        events: events_ledger(&store_path, &metrics_out),
                         slow_unit: None,
                     };
                     println!(
@@ -1397,10 +1325,8 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             }
         }
         Command::Metrics { verb, ledgers, json, limit } => {
-            use std::path::Path;
-
             use dynring_campaign::{
-                render_diff, render_summary, render_top, summarize, EventLedger, LoadedLedger,
+                render_diff, render_summary, render_top, summarize, LoadedLedger,
             };
 
             let load = |path: &String| -> Result<LoadedLedger, Box<dyn Error>> {
@@ -1446,7 +1372,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             }
         }
         Command::Certify { store, spec, level, sample, seed, out } => {
-            use dynring_campaign::{certify, render_verdict, CertifyOptions, ResultStore};
+            use dynring_campaign::{certify, render_verdict, CertifyOptions};
 
             let spec_json = std::fs::read_to_string(&spec)?;
             let campaign: dynring_campaign::CampaignSpec = serde_json::from_str(&spec_json)
@@ -1607,34 +1533,51 @@ mod tests {
         let report = "campaign report --spec s --store t";
         let work = "campaign work --spec s --manifest m --index 0";
         for (line, refused) in [
-            (format!("{run} --max-unit 5"), "--max-unit for campaign run"),
-            ("montecarlo --replcas 3".into(), "--replcas for montecarlo"),
-            ("scenario --n 8 --k 3 --out x".into(), "--out for scenario"),
-            ("table1 --quick".into(), "--quick for table1"),
-            ("certify s.jsonl --spec c.json --json".into(), "--json for certify"),
-            ("metrics show l.jsonl --progress".into(), "--progress for metrics show"),
-            ("metrics show l.jsonl --limit 3".into(), "--limit for metrics show"),
-            (format!("{report} --shards 3 --heartbeat-timeout-ms 5"), "--shards for campaign report"),
-            ("campaign status t --spec x --progress".into(), "--spec for campaign status"),
-            ("campaign status t --progress".into(), "--progress for campaign status"),
-            (format!("{run} --out r.json"), "--out for campaign run"),
-            ("campaign shard --spec s --shards 2 --workers 2".into(), "--workers for campaign shard"),
-            ("campaign merge --spec s --store t a --max-units 2".into(), "--max-units for campaign merge"),
-            (format!("{work} --procs 2"), "--procs for campaign work"),
-            (format!("{work} --no-steal"), "--no-steal for campaign work"),
-            (format!("{report} --steal-after-ms 9"), "--steal-after-ms for campaign report"),
-            (format!("{report} --metrics-out m"), "--metrics-out for campaign report"),
+            (format!("{run} --max-unit 5"), "flag --max-unit for campaign run"),
+            ("montecarlo --replcas 3".into(), "flag --replcas for montecarlo"),
+            ("scenario --n 8 --k 3 --out x".into(), "flag --out for scenario"),
+            ("table1 --quick".into(), "flag --quick for table1"),
+            ("certify s.jsonl --spec c.json --json".into(), "flag --json for certify"),
+            ("metrics show l.jsonl --progress".into(), "flag --progress for metrics show"),
+            ("metrics show l.jsonl --limit 3".into(), "flag --limit for metrics show"),
+            (format!("{report} --shards 3 --heartbeat-timeout-ms 5"), "flag --shards for campaign report"),
+            ("campaign status t --spec x --progress".into(), "flag --spec for campaign status"),
+            ("campaign status t --progress".into(), "flag --progress for campaign status"),
+            (format!("{run} --out r.json"), "flag --out for campaign run"),
+            ("campaign shard --spec s --shards 2 --workers 2".into(), "flag --workers for campaign shard"),
+            ("campaign merge --spec s --store t a --max-units 2".into(), "flag --max-units for campaign merge"),
+            (format!("{work} --procs 2"), "flag --procs for campaign work"),
+            (format!("{work} --no-steal"), "flag --no-steal for campaign work"),
+            (format!("{report} --steal-after-ms 9"), "flag --steal-after-ms for campaign report"),
+            (format!("{report} --metrics-out m"), "flag --metrics-out for campaign report"),
+            // A stray word is refused by name too, wherever it sits.
+            ("campaign shard --spec s --shards 2 stray-arg".into(), "argument stray-arg for campaign shard"),
+            (format!("{report} extra"), "argument extra for campaign report"),
+            (format!("{run} x --procs 2"), "argument x for campaign run"),
+            ("campaign resume y --spec s --store t".into(), "argument y for campaign resume"),
+            (format!("{work} z"), "argument z for campaign work"),
+            ("certify s.jsonl t.jsonl --spec c.json".into(), "argument t.jsonl for certify"),
+            ("table1 extra".into(), "argument extra for table1"),
+            ("scenario --n 8 --k 3 w".into(), "argument w for scenario"),
+            ("replay --file f w".into(), "argument w for replay"),
+            ("bench-report --quick w".into(), "argument w for bench-report"),
         ] {
-            assert_eq!(parse(&words(&line)), Err(err(format!("unknown flag {refused}"))), "{line}");
+            assert_eq!(parse(&words(&line)), Err(err(format!("unknown {refused}"))), "{line}");
         }
-        // Each verb still takes its own flags.
+        // Each verb still takes its own flags, and the store/ledger lists
+        // their positional arguments.
         for line in [
             format!("{report} --out r.json"),
             "campaign status t --manifest m --json".into(),
+            "campaign status a b c".into(),
             format!("{work} --workers 2 --max-units 3 --metrics-out m"),
             "campaign merge --spec s --store t a --metrics-out m".into(),
+            "campaign merge --spec s --store t a b c".into(),
             format!("{run} --procs 2 --no-steal --manifest m --dir d"),
             "metrics top l.jsonl --limit 3".into(),
+            "metrics show a b c --json".into(),
+            "metrics diff a b".into(),
+            "certify s.jsonl --spec c.json".into(),
         ] {
             assert!(parse(&words(&line)).is_ok(), "{line}");
         }

@@ -4,8 +4,9 @@
 //! write a metrics snapshot carrying the pinned metric names, append a
 //! readable events ledger next to the store, and `dynring metrics
 //! show|top|diff` must aggregate that ledger. A supervised run with an
-//! injected worker death additionally has to surface the retry in both
-//! the canonical ledger's fault summary and the snapshot counters.
+//! injected worker death additionally has to surface the retry in the
+//! canonical ledger's fault summary and the snapshot counters alike, with
+//! the same values.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -124,16 +125,25 @@ fn supervised_metrics_capture_injected_retry() {
     let sup_bytes = std::fs::read(&sup).expect("supervised store");
     assert_eq!(plain_bytes, sup_bytes, "supervised telemetry must not change bytes");
 
-    // The canonical ledger holds the lifecycle: spawns (2 shards + 1
-    // restart), exactly one retry, and the final merge.
+    // The canonical ledger holds the lifecycle — spawns (2 shards + 1
+    // restart), exactly one retry, and the final merge of all 240 units —
+    // and the process-global snapshot agrees with it value for value.
     let ledger = format!("{}.events.jsonl", sup.display());
     let show = run_ok(&["metrics", "show", &ledger]);
-    assert!(show.contains("spawns=3"), "2 shards + 1 restart:\n{show}");
-    assert!(show.contains("retries=1"), "injected death = one retry:\n{show}");
-    assert!(show.contains("merges=1"), "merge recorded:\n{show}");
-
-    // And the process-global snapshot agrees.
-    let snap = std::fs::read_to_string(&snapshot).expect("snapshot written");
-    assert!(snap.contains("supervisor_retries_total"), "retry counter:\n{snap}");
-    assert!(snap.contains("supervisor_spawns_total"), "spawn counter:\n{snap}");
+    let text = std::fs::read_to_string(&snapshot).expect("snapshot written");
+    let snap: dynring_obs::Snapshot = serde_json::from_str(&text).expect("snapshot parses");
+    let counter = |name: &str| {
+        snap.metrics.iter().find_map(|m| match m.value {
+            dynring_obs::MetricValue::Counter(v) if m.name == name => Some(v),
+            _ => None,
+        })
+    };
+    for (series, value, fault) in [
+        ("supervisor_spawns_total", 3, "spawns=3"),
+        ("supervisor_retries_total", 1, "retries=1"),
+        ("merge_units_total", 240, "merges=1"),
+    ] {
+        assert_eq!(counter(series), Some(value), "{series}:\n{text}");
+        assert!(show.contains(fault), "{fault} in the ledger:\n{show}");
+    }
 }
