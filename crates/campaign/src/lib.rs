@@ -20,7 +20,7 @@
 //! - [`store`] — the append-only JSONL [`ResultStore`], keyed by unit
 //!   hash: `resume` skips completed units, re-running a finished campaign
 //!   is a no-op, and a torn trailing write is truncated away;
-//! - [`aggregate`] — folds a store into the grouped cover-time /
+//! - [`aggregate`](mod@aggregate) — folds a store into the grouped cover-time /
 //!   survival [`CampaignReport`];
 //! - [`events`] / [`metrics`] — out-of-band observability: a
 //!   torn-tail-tolerant per-campaign events ledger
@@ -28,12 +28,12 @@
 //!   scheduler × route) time/throughput aggregation behind `dynring
 //!   metrics show|diff|top`. Telemetry never changes store bytes (see
 //!   `docs/OBSERVABILITY.md`);
-//! - [`shard`] / [`supervise`] / [`merge`] — the distributed story:
+//! - [`shard`] / [`supervise`](mod@supervise) / [`merge`] — the distributed story:
 //!   deterministically partition a plan into disjoint shard ranges
 //!   ([`ShardManifest`]), run each shard as a supervised child process
 //!   with heartbeat monitoring, bounded-backoff restart, work-stealing
 //!   re-sharding of exhausted or straggling shards (manifest
-//!   *generations*) and last-resort quarantine ([`supervise`]), then
+//!   *generations*) and last-resort quarantine ([`supervise()`]), then
 //!   fold the shard stores — generation splits included — back into one
 //!   canonical store byte-identical to a serial run
 //!   ([`merge_manifest`]).

@@ -213,8 +213,8 @@ fn merge_impl(
 }
 
 /// Merges explicit shard stores (no manifest ranges; overlap, plan
-/// membership and spec binding are still enforced). See [`merge_impl`]
-/// for the contract and errors.
+/// membership and spec binding are still enforced). The stores may come
+/// in any order and may be incomplete, or missing entirely.
 ///
 /// # Errors
 ///

@@ -4,7 +4,7 @@ default:
     @just --list
 
 # Tier-1 verification: what CI runs and what every PR must keep green.
-verify: build test clippy
+verify: build test clippy doc
 
 build:
     cargo build --release
@@ -14,6 +14,10 @@ test:
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings as errors: a doc link that goes stale fails.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Full benchmark pass (asserts scenario verdicts before timing).
 bench:

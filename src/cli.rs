@@ -1,22 +1,31 @@
-//! Command-line interface: `dynring table1 | scenario | sweep`.
+//! Command-line interface: `dynring table1 | scenario | capture | replay |
+//! sweep-p | coverage | montecarlo | campaign | metrics | certify |
+//! bench-report`.
 //!
 //! Hand-rolled argument parsing (no CLI dependency): the grammar is small
-//! and fixed. See `dynring --help` or [`USAGE`].
+//! and fixed. Each command declares its flags and its positional words
+//! once, in one table, and every refusal of a malformed command line (an
+//! unknown flag, a stray word, a missing flag, a flag without its value or
+//! without the flag it needs, a zero count) derives from that declaration.
+//! See `dynring --help` or [`USAGE`].
 
 use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
 use dynring_analysis::grid::{default_seeds, evaluate_point};
+use dynring_analysis::parallel::available_workers;
 use dynring_analysis::{
     run_on_schedule, run_replicas, run_scenario, run_scenario_capturing, run_table1,
     AlgorithmChoice, DynamicsChoice, MonteCarloConfig, PlacementSpec, Scenario, ScenarioReport,
     SuccessCriteria, Table1Options,
 };
 use dynring_campaign::{
-    CampaignError, Event, EventLedger, EventSink, MergeOutcome, ResultStore,
+    CampaignError, CampaignSpec, Event, EventLedger, EventSink, LedgerSummary, LoadedLedger,
+    MergeOutcome, ResultStore, ShardManifest, SuperviseOptions,
 };
 use dynring_graph::ScriptedSchedule;
 
@@ -35,10 +44,7 @@ USAGE:
     dynring montecarlo [--n N] [--k K] [--p P] [--replicas R]
                        [--horizon H] [--seed S] [--algorithm A] [--out FILE]
     dynring campaign run    --spec FILE --store FILE [--workers W] [--max-units N]
-                            [--procs P] [--max-retries R] [--backoff-ms B]
-                            [--heartbeat-timeout-ms T] [--no-steal]
-                            [--steal-after-ms T] [--progress] [--json]
-                            [--manifest FILE] [--dir DIR] [--metrics-out FILE]
+                            [--metrics-out FILE] [--procs P [supervisor flags]]
     dynring campaign resume --spec FILE --store FILE [same flags as run]
     dynring campaign report --spec FILE --store FILE [--out FILE]
     dynring campaign shard  --spec FILE --shards N [--index I] [--dir DIR]
@@ -55,6 +61,13 @@ USAGE:
                     [--out FILE]
     dynring bench-report [--out FILE] [--quick] [--check SNAPSHOT]
     dynring --help
+
+SUPERVISOR FLAGS (campaign run/resume; each is refused without --procs):
+    [--max-retries R] [--backoff-ms B] [--heartbeat-timeout-ms T] [--no-steal]
+    [--steal-after-ms T] [--progress] [--json] [--manifest FILE] [--dir DIR]
+
+Counts must be at least 1: --horizon, --seeds, --sample, --shards,
+--workers, --procs, and the --n and --k of scenario and capture.
 
 `capture` runs a scenario, records the exact snapshot sequence the
 (possibly adaptive) dynamics played, and writes a JSON artifact. `replay`
@@ -136,7 +149,8 @@ DYNAMICS (for --dynamics):
     t-interval | blocker | confiner1 | confiner2 | ssync
 ";
 
-/// A parsed command.
+/// A parsed command: one variant per command and per `campaign` and
+/// `metrics` verb, holding exactly the flags that verb reads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Print usage.
@@ -186,69 +200,92 @@ pub enum Command {
         /// Optional summary JSON output path.
         out: Option<String>,
     },
-    /// Drive a declarative experiment campaign.
-    Campaign {
-        /// Which campaign verb.
-        verb: CampaignVerb,
-        /// Path of the JSON campaign spec (every verb except `status`).
-        spec: Option<String>,
-        /// Path of the JSONL result store (canonical/output store for
-        /// `merge` and the supervisor).
-        store: Option<String>,
-        /// Positional store paths (`status STORE…`, `merge … STORE…`).
-        stores: Vec<String>,
-        /// Worker threads (default: one per core; per child process
-        /// under `--procs`).
-        workers: Option<usize>,
-        /// Stop after this many newly executed units (run/resume/work).
-        max_units: Option<usize>,
-        /// Optional report JSON output path (report only).
+    /// `campaign run` or `campaign resume`.
+    CampaignRun(CampaignRun),
+    /// `campaign report`: fold a store into a summary report.
+    CampaignReport {
+        /// Path of the JSON campaign spec.
+        spec: String,
+        /// Path of the JSONL result store.
+        store: String,
+        /// Optional report JSON output path.
         out: Option<String>,
-        /// Shard manifest path (`work`/`merge`; supervisor default:
-        /// `<store>.manifest.json`).
-        manifest: Option<String>,
-        /// Supervisor mode: split the plan into this many shard
-        /// processes.
-        procs: Option<usize>,
-        /// Shard count (`shard`).
-        shards: Option<usize>,
-        /// Shard index (`work`; optional range printout for `shard`).
+    },
+    /// `campaign shard`: partition the plan into disjoint shard ranges and
+    /// write the manifest.
+    CampaignShard {
+        /// Path of the JSON campaign spec.
+        spec: String,
+        /// Shard count.
+        shards: usize,
+        /// A shard whose unit range to print.
         index: Option<usize>,
-        /// Shard store directory (`shard`; supervisor default:
-        /// `<store>.shards/`).
+        /// Shard store directory (default: `.`).
         dir: Option<String>,
-        /// Supervisor: restarts allowed per shard before quarantine.
-        max_retries: usize,
-        /// Supervisor: base backoff between restarts.
-        backoff_ms: u64,
-        /// Supervisor: a shard store idle this long is declared hung.
-        heartbeat_timeout_ms: u64,
-        /// Supervisor: quarantine exhausted shards instead of stealing
-        /// their remaining range into sub-shards.
-        no_steal: bool,
-        /// Supervisor: steal from a shard still running this long after
-        /// its latest spawn once every other shard has settled.
-        steal_after_ms: Option<u64>,
-        /// Supervisor: print a per-shard progress table while running.
-        progress: bool,
-        /// `status`/`--progress`: emit JSON instead of the table.
-        json: bool,
-        /// Out-of-band telemetry (run/resume/work/merge): write a
-        /// metrics snapshot to this path on completion (Prometheus text
-        /// when it ends in `.prom`, pretty JSON otherwise) and append
-        /// events to `<store>.events.jsonl`. Never changes store bytes.
+        /// Manifest path (default: `<campaign name>.manifest.json`).
+        manifest: Option<String>,
+    },
+    /// `campaign work`: run one shard, by manifest index, as an
+    /// independent process.
+    CampaignWork {
+        /// Path of the JSON campaign spec.
+        spec: String,
+        /// Shard manifest path.
+        manifest: String,
+        /// Index of the manifest entry to run.
+        index: usize,
+        /// Worker threads (default: one per core).
+        workers: Option<usize>,
+        /// Stop after this many newly executed units.
+        max_units: Option<usize>,
+        /// Telemetry snapshot path (see [`CampaignRun::metrics_out`]).
         metrics_out: Option<String>,
     },
-    /// Aggregate campaign events ledgers into metrics summaries.
-    Metrics {
-        /// Which metrics verb.
-        verb: MetricsVerb,
-        /// Events ledger paths (`<store>.events.jsonl`).
+    /// `campaign merge`: fold shard stores into one canonical store.
+    CampaignMerge {
+        /// Path of the JSON campaign spec.
+        spec: String,
+        /// Path of the canonical output store.
+        store: String,
+        /// Where the shard stores come from.
+        shards: MergeFrom,
+        /// Telemetry snapshot path (see [`CampaignRun::metrics_out`]).
+        metrics_out: Option<String>,
+    },
+    /// `campaign status`: print per-store progress (completed/total,
+    /// torn/sealed state).
+    CampaignStatus {
+        /// A shard manifest whose entries become rows.
+        manifest: Option<String>,
+        /// Store paths, one row each after the manifest's.
+        stores: Vec<String>,
+        /// Emit JSON instead of the table.
+        json: bool,
+    },
+    /// `metrics show`: aggregate ledgers into per-group time and
+    /// throughput plus a fault summary.
+    MetricsShow {
+        /// Events ledger paths (`<store>.events.jsonl`), at least one.
         ledgers: Vec<String>,
         /// Emit the summary as JSON instead of the table.
         json: bool,
-        /// Row cap for `top`.
+    },
+    /// `metrics top`: rank groups by total wall time, slowest first.
+    MetricsTop {
+        /// Events ledger paths, at least one.
+        ledgers: Vec<String>,
+        /// Emit the summary as JSON instead of the table.
+        json: bool,
+        /// Row cap.
         limit: usize,
+    },
+    /// `metrics diff`: compare two ledgers group by group (A → B wall time
+    /// and rates).
+    MetricsDiff {
+        /// Ledgers A and B.
+        ledgers: [String; 2],
+        /// Emit both summaries as JSON instead of the comparison table.
+        json: bool,
     },
     /// Certify a campaign store as a replay bundle.
     Certify {
@@ -277,6 +314,56 @@ pub enum Command {
     },
 }
 
+/// `campaign run` (a fresh campaign) or `campaign resume` (continue an
+/// interrupted store, skipping completed units).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignRun {
+    /// `run`, which refuses an existing store, rather than `resume`.
+    pub fresh: bool,
+    /// Path of the JSON campaign spec.
+    pub spec: String,
+    /// Path of the JSONL result store (the canonical store when
+    /// supervised).
+    pub store: String,
+    /// Worker threads (default: one per core; per child process when
+    /// supervised).
+    pub workers: Option<usize>,
+    /// Stop after this many newly executed units.
+    pub max_units: Option<usize>,
+    /// Out-of-band telemetry: write a metrics snapshot to this path on
+    /// completion (Prometheus text when it ends in `.prom`, pretty JSON
+    /// otherwise) and append events to `<store>.events.jsonl`. Never
+    /// changes store bytes.
+    pub metrics_out: Option<String>,
+    /// The supervisor's settings, present exactly when `--procs` is given.
+    pub supervisor: Option<Supervisor>,
+}
+
+/// `campaign run|resume --procs P`: shard the plan over child processes,
+/// restart the dead, merge at the end.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Supervisor {
+    /// Shard processes.
+    pub procs: usize,
+    /// Shard manifest path (default: `<store>.manifest.json`).
+    pub manifest: Option<String>,
+    /// Shard store directory (default: `<store>.shards/`).
+    pub dir: Option<String>,
+    /// The retry, steal and progress flags over the library defaults;
+    /// the run sets `workers_per_proc` and `events`.
+    pub options: SuperviseOptions,
+}
+
+/// Where `campaign merge` takes its shard stores from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MergeFrom {
+    /// Every entry of this shard manifest.
+    Manifest(String),
+    /// These shard store paths (given as positional words; they win over
+    /// `--manifest`).
+    Stores(Vec<String>),
+}
+
 /// The JSON artifact written by `capture` and verified by `replay`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Artifact {
@@ -286,38 +373,6 @@ pub struct Artifact {
     pub schedule: ScriptedSchedule,
     /// The report the original run produced.
     pub report: ScenarioReport,
-}
-
-/// The metrics sub-verbs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsVerb {
-    /// Aggregate one or more ledgers into per-group time/throughput
-    /// plus a fault summary.
-    Show,
-    /// Compare two ledgers group by group (A → B wall time and rates).
-    Diff,
-    /// Rank groups by total wall time, slowest first.
-    Top,
-}
-
-/// The campaign sub-verbs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CampaignVerb {
-    /// Start a fresh campaign (refuses an existing store).
-    Run,
-    /// Continue an interrupted store, skipping completed units.
-    Resume,
-    /// Fold the store into a summary report.
-    Report,
-    /// Partition the plan into disjoint shard ranges and write the
-    /// manifest.
-    Shard,
-    /// Run one shard (by manifest index) as an independent process.
-    Work,
-    /// Fold shard stores into one canonical store.
-    Merge,
-    /// Print per-store progress (completed/total, torn/sealed state).
-    Status,
 }
 
 /// A CLI parsing error.
@@ -356,95 +411,352 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Flags every supervisor-capable campaign verb (`run`, `resume`) reads.
-const CAMPAIGN_RUN_FLAGS: &[&str] = &[
-    "spec", "store", "workers", "max-units", "procs", "max-retries", "backoff-ms",
-    "heartbeat-timeout-ms", "no-steal", "steal-after-ms", "progress", "json", "manifest", "dir",
-    "metrics-out",
+/// What follows a flag's name on the command line.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// A value: `--name VALUE`.
+    Value,
+    /// A value that must be at least 1: `--name N`.
+    Count,
+    /// Nothing: `--name` alone.
+    Switch,
+}
+
+/// One flag a command reads.
+struct Flag {
+    name: &'static str,
+    kind: Kind,
+    /// For a required flag, the refusal when it is missing.
+    missing: Option<&'static str>,
+    /// A flag this one is only valid with.
+    needs: Option<&'static str>,
+}
+
+const fn value(name: &'static str) -> Flag {
+    Flag { name, kind: Kind::Value, missing: None, needs: None }
+}
+
+const fn count(name: &'static str) -> Flag {
+    Flag { kind: Kind::Count, ..value(name) }
+}
+
+const fn switch(name: &'static str) -> Flag {
+    Flag { kind: Kind::Switch, ..value(name) }
+}
+
+impl Flag {
+    /// The flag must be given; without it the command is refused with
+    /// `missing`.
+    const fn required(self, missing: &'static str) -> Flag {
+        Flag { missing: Some(missing), ..self }
+    }
+
+    /// The flag is refused unless `--other` is given too.
+    const fn only_with(self, other: &'static str) -> Flag {
+        Flag { needs: Some(other), ..self }
+    }
+}
+
+/// One command's grammar, declared once: its name (`campaign run` for a
+/// verb), how many positional words it takes, every flag it reads, and how
+/// a command line that passed the checks this declaration implies becomes
+/// a [`Command`].
+struct Syntax {
+    name: &'static str,
+    /// The most positional words the command takes; a word past them is
+    /// refused by name. A builder that needs words refuses too few itself.
+    words: usize,
+    flags: &'static [Flag],
+    build: fn(&Args) -> Result<Command, CliError>,
+}
+
+const fn cmd(
+    name: &'static str,
+    words: usize,
+    flags: &'static [Flag],
+    build: fn(&Args) -> Result<Command, CliError>,
+) -> Syntax {
+    Syntax { name, words, flags, build }
+}
+
+/// Any number of positional words.
+const ANY: usize = usize::MAX;
+
+const SPEC: Flag = value("spec").required("campaign requires --spec FILE");
+const STORE: Flag = value("store").required("campaign requires --store FILE");
+
+/// `campaign run` and `campaign resume`; the supervisor's flags need
+/// `--procs`.
+const RUN_FLAGS: &[Flag] = &[
+    SPEC, STORE, count("workers"), value("max-units"), value("metrics-out"), count("procs"),
+    value("max-retries").only_with("procs"), value("backoff-ms").only_with("procs"),
+    value("heartbeat-timeout-ms").only_with("procs"), switch("no-steal").only_with("procs"),
+    value("steal-after-ms").only_with("procs"), switch("progress").only_with("procs"),
+    switch("json").only_with("procs"), value("manifest").only_with("procs"),
+    value("dir").only_with("procs"),
 ];
 
-/// The flags each command reads, value flags and switches alike, keyed by
-/// `command verb` for the commands with verbs; `parse` refuses any other
-/// flag with a usage error naming it (`--help` is accepted everywhere).
-const FLAGS: &[(&str, &[&str])] = &[
-    ("table1", &["horizon", "min-covers", "seed"]),
-    ("scenario", &["n", "k", "algorithm", "dynamics", "horizon", "seed", "min-covers", "p"]),
-    (
-        "capture",
-        &["n", "k", "algorithm", "dynamics", "horizon", "seed", "min-covers", "p", "out"],
-    ),
-    ("replay", &["file"]),
-    ("sweep-p", &["n", "k", "horizon", "seeds"]),
-    ("coverage", &["n", "k", "horizon", "seed"]),
-    ("montecarlo", &["n", "k", "p", "replicas", "horizon", "seed", "algorithm", "out"]),
-    ("campaign run", CAMPAIGN_RUN_FLAGS),
-    ("campaign resume", CAMPAIGN_RUN_FLAGS),
-    ("campaign report", &["spec", "store", "out"]),
-    ("campaign shard", &["spec", "shards", "index", "dir", "manifest"]),
-    ("campaign work", &["spec", "manifest", "index", "workers", "max-units", "metrics-out"]),
-    ("campaign merge", &["spec", "store", "manifest", "metrics-out"]),
-    ("campaign status", &["manifest", "json"]),
-    ("metrics show", &["json"]),
-    ("metrics top", &["json", "limit"]),
-    ("metrics diff", &["json"]),
-    ("certify", &["spec", "level", "sample", "seed", "out"]),
-    ("bench-report", &["out", "quick", "check"]),
+const SCENARIO_FLAGS: &[Flag] = &[
+    count("n").required("scenario requires --n and --k"),
+    count("k").required("scenario requires --n and --k"),
+    value("algorithm"), value("dynamics"), count("horizon"), value("seed"), value("min-covers"),
+    value("p"),
 ];
 
-/// Positional arguments and `--key value` pairs, borrowed from the input.
-type SplitArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
+/// `scenario`'s flags plus `--out`.
+const CAPTURE_FLAGS: &[Flag] = &[
+    value("out").required("capture requires --out FILE"),
+    count("n").required("capture requires --n and --k"),
+    count("k").required("capture requires --n and --k"),
+    value("algorithm"), value("dynamics"), count("horizon"), value("seed"), value("min-covers"),
+    value("p"),
+];
 
-/// Extracts `--key value` pairs; returns (positional, pairs).
-fn split_flags(args: &[String]) -> Result<SplitArgs<'_>, CliError> {
-    let mut positional = Vec::new();
-    let mut pairs = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if let Some(key) = arg.strip_prefix("--") {
-            // Value-less flags stay positional, `--` and all.
-            if matches!(key, "help" | "quick" | "progress" | "json" | "no-steal") {
-                positional.push(arg);
-                i += 1;
-                continue;
-            }
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| err(format!("flag --{key} needs a value")))?;
-            pairs.push((key, value.as_str()));
-            i += 2;
-        } else {
-            positional.push(arg);
-            i += 1;
+const MONTECARLO_FLAGS: &[Flag] = &[
+    value("n"), value("k"), value("p"), value("replicas"), count("horizon"), value("seed"),
+    value("algorithm"), value("out"),
+];
+
+const SHARD_FLAGS: &[Flag] = &[
+    SPEC, count("shards").required("campaign shard requires --shards N"), value("index"),
+    value("dir"), value("manifest"),
+];
+
+const WORK_FLAGS: &[Flag] = &[
+    SPEC, value("manifest").required("campaign work requires --manifest FILE"),
+    value("index").required("campaign work requires --index I"), count("workers"),
+    value("max-units"), value("metrics-out"),
+];
+
+const CERTIFY_FLAGS: &[Flag] = &[
+    value("spec").required("certify requires --spec FILE"), value("level"), count("sample"),
+    value("seed"), value("out"),
+];
+
+/// Every command's grammar. A command with verbs lists them in the order
+/// its refusals name them.
+static COMMANDS: &[Syntax] = &[
+    cmd("table1", 0, &[count("horizon"), value("min-covers"), value("seed")], |a| {
+        let d = Table1Options::default();
+        Ok(Command::Table1(Table1Options {
+            horizon: a.or("horizon", d.horizon)?,
+            min_covers: a.or("min-covers", d.min_covers)?,
+            seed: a.or("seed", d.seed)?,
+            ..d
+        }))
+    }),
+    cmd("scenario", 0, SCENARIO_FLAGS, |a| Ok(Command::Scenario(parse_scenario(a)?))),
+    cmd("capture", 0, CAPTURE_FLAGS, |a| {
+        let out = a.need("out")?;
+        Ok(Command::Capture { scenario: parse_scenario(a)?, out })
+    }),
+    cmd("replay", 0, &[value("file").required("replay requires --file FILE")], |a| {
+        Ok(Command::Replay { file: a.need("file")? })
+    }),
+    cmd("sweep-p", 0, &[value("n"), value("k"), count("horizon"), count("seeds")], |a| {
+        Ok(Command::SweepPresence {
+            n: a.or("n", 10)?,
+            k: a.or("k", 3)?,
+            horizon: a.or("horizon", 1500)?,
+            seeds: a.or("seeds", 5)?,
+        })
+    }),
+    cmd("coverage", 0, &[value("n"), value("k"), count("horizon"), value("seed")], |a| {
+        Ok(Command::Coverage {
+            n: a.or("n", 8)?,
+            k: a.or("k", 3)?,
+            horizon: a.or("horizon", 800)?,
+            seed: a.or("seed", 0xC0FFEE)?,
+        })
+    }),
+    cmd("montecarlo", 0, MONTECARLO_FLAGS, |a| {
+        let config = MonteCarloConfig {
+            ring_size: a.or("n", 16)?,
+            robots: a.or("k", 3)?,
+            presence_probability: a.or("p", 0.5)?,
+            horizon: a.or("horizon", 2000)?,
+            replicas: a.or("replicas", 256)?,
+            seed: a.or("seed", 0xDECADE)?,
+            algorithm: parse_algorithm(a.value("algorithm").unwrap_or("pef3+"))?,
+        };
+        Ok(Command::MonteCarlo { config, out: a.get("out")? })
+    }),
+    cmd("campaign run", 0, RUN_FLAGS, |a| parse_campaign_run(a, true)),
+    cmd("campaign resume", 0, RUN_FLAGS, |a| parse_campaign_run(a, false)),
+    cmd("campaign report", 0, &[SPEC, STORE, value("out")], |a| {
+        let (spec, store) = (a.need("spec")?, a.need("store")?);
+        Ok(Command::CampaignReport { spec, store, out: a.get("out")? })
+    }),
+    cmd("campaign shard", 0, SHARD_FLAGS, |a| {
+        Ok(Command::CampaignShard {
+            spec: a.need("spec")?,
+            shards: a.need("shards")?,
+            index: a.get("index")?,
+            dir: a.get("dir")?,
+            manifest: a.get("manifest")?,
+        })
+    }),
+    cmd("campaign work", 0, WORK_FLAGS, |a| {
+        Ok(Command::CampaignWork {
+            spec: a.need("spec")?,
+            manifest: a.need("manifest")?,
+            index: a.need("index")?,
+            workers: a.get("workers")?,
+            max_units: a.get("max-units")?,
+            metrics_out: a.get("metrics-out")?,
+        })
+    }),
+    cmd("campaign merge", ANY, &[SPEC, STORE, value("manifest"), value("metrics-out")], |a| {
+        let (spec, store) = (a.need("spec")?, a.need("store")?);
+        let shards = match a.get("manifest")? {
+            _ if !a.words.is_empty() => MergeFrom::Stores(a.words()),
+            Some(manifest) => MergeFrom::Manifest(manifest),
+            None => return Err(err("campaign merge needs --manifest FILE or shard STORE… paths")),
+        };
+        Ok(Command::CampaignMerge { spec, store, shards, metrics_out: a.get("metrics-out")? })
+    }),
+    cmd("campaign status", ANY, &[value("manifest"), switch("json")], |a| {
+        let manifest = a.get("manifest")?;
+        if manifest.is_none() && a.words.is_empty() {
+            return Err(err("campaign status requires at least one STORE path or --manifest FILE"));
         }
-    }
-    Ok((positional, pairs))
+        Ok(Command::CampaignStatus { manifest, stores: a.words(), json: a.has("json") })
+    }),
+    cmd("metrics show", ANY, &[switch("json")], |a| {
+        Ok(Command::MetricsShow { ledgers: parse_ledgers(a)?, json: a.has("json") })
+    }),
+    cmd("metrics diff", ANY, &[switch("json")], |a| match a.words[..] {
+        [x, y] => Ok(Command::MetricsDiff { ledgers: [x.into(), y.into()], json: a.has("json") }),
+        _ => Err(err("metrics diff needs exactly two ledger paths: LEDGER_A LEDGER_B")),
+    }),
+    cmd("metrics top", ANY, &[switch("json"), value("limit")], |a| {
+        let ledgers = parse_ledgers(a)?;
+        Ok(Command::MetricsTop { ledgers, json: a.has("json"), limit: a.or("limit", 10)? })
+    }),
+    cmd("certify", 1, CERTIFY_FLAGS, parse_certify),
+    cmd("bench-report", 0, &[value("out"), switch("quick"), value("check")], |a| {
+        Ok(Command::BenchReport {
+            out: a.value("out").unwrap_or("BENCH_engine.json").to_string(),
+            quick: a.has("quick"),
+            check: a.get("check")?,
+        })
+    }),
+];
+
+/// A command line split by its [`Syntax`]: the positional words, and each
+/// flag given with its value (none for a switch), in order.
+struct Args<'a> {
+    syntax: &'static Syntax,
+    words: Vec<&'a str>,
+    flags: Vec<(&'static Flag, Option<&'a str>)>,
 }
 
-fn lookup<'a>(pairs: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
-    pairs.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| *v)
-}
+impl<'a> Args<'a> {
+    /// Splits `tokens` by `syntax`, refusing an unknown flag, a value flag
+    /// without its value, a zero count, a stray word and a flag given
+    /// without the flag it needs.
+    fn split(syntax: &'static Syntax, tokens: &'a [String]) -> Result<Self, CliError> {
+        let mut args = Args { syntax, words: Vec::new(), flags: Vec::new() };
+        let mut tokens = tokens.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            let Some(name) = token.strip_prefix("--") else {
+                args.words.push(token);
+                continue;
+            };
+            let flag = syntax
+                .flags
+                .iter()
+                .find(|f| f.name == name)
+                .ok_or_else(|| err(format!("unknown flag --{name} for {}", syntax.name)))?;
+            let value = match flag.kind {
+                Kind::Switch => None,
+                Kind::Value | Kind::Count => Some(
+                    tokens.next().ok_or_else(|| err(format!("flag --{name} needs a value")))?,
+                ),
+            };
+            if flag.kind == Kind::Count && value.is_some_and(|v| v.parse::<u64>() == Ok(0)) {
+                return Err(err(format!("--{name} must be at least 1")));
+            }
+            args.flags.push((flag, value));
+        }
+        if let Some(word) = args.words.get(syntax.words) {
+            return Err(err(format!("unknown argument {word} for {}", syntax.name)));
+        }
+        for (flag, _) in &args.flags {
+            if let Some(other) = flag.needs.filter(|other| !args.has(other)) {
+                return Err(err(format!("--{} is only valid with --{other}", flag.name)));
+            }
+        }
+        Ok(args)
+    }
 
-fn parse_num<T: std::str::FromStr>(pairs: &[(&str, &str)], key: &str, default: T) -> Result<T, CliError> {
-    match lookup(pairs, key) {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| err(format!("invalid value for --{key}: {raw}"))),
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| flag.name == name)
+    }
+
+    fn words(&self) -> Vec<String> {
+        self.words.iter().map(|word| word.to_string()).collect()
+    }
+
+    /// The last value given for `--name`.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.flags.iter().rev().find(|(flag, _)| flag.name == name).and_then(|(_, v)| *v)
+    }
+
+    /// `--name`'s value as a `T`.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let invalid = |raw: &str| err(format!("invalid value for --{name}: {raw}"));
+        self.value(name).map(|raw| raw.parse().map_err(|_| invalid(raw))).transpose()
+    }
+
+    /// `--name`'s value as a `T`, or `default` when it is not given.
+    fn or<T: FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+        Ok(self.get(name)?.unwrap_or(default))
+    }
+
+    /// A required flag's value; without it the command is refused with
+    /// the message the flag declares.
+    fn need<T: FromStr>(&self, name: &str) -> Result<T, CliError> {
+        self.get(name)?.ok_or_else(|| {
+            let flag = self.syntax.flags.iter().find(|f| f.name == name);
+            err(flag.and_then(|f| f.missing).expect("need() reads only flags declared required"))
+        })
     }
 }
 
-fn parse_opt_num<T: std::str::FromStr>(
-    pairs: &[(&str, &str)],
-    key: &str,
-) -> Result<Option<T>, CliError> {
-    match lookup(pairs, key) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse()
-            .map(Some)
-            .map_err(|_| err(format!("invalid value for --{key}: {raw}"))),
+/// Parses a full argument vector (without the program name).
+///
+/// # Errors
+///
+/// [`CliError`] with a human-readable message.
+pub fn parse(args: &[String]) -> Result<Command, CliError> {
+    if args.is_empty() || args.iter().any(|a| a == "--help") {
+        return Ok(Command::Help);
     }
+    let (syntax, rest) = syntax_of(args)?;
+    (syntax.build)(&Args::split(syntax, rest)?)
+}
+
+/// The syntax `args` names with its first word (and its second, for a
+/// command with verbs), and the tokens after that name.
+fn syntax_of(args: &[String]) -> Result<(&'static Syntax, &[String]), CliError> {
+    let command = args[0].as_str();
+    if let Some(syntax) = COMMANDS.iter().find(|s| s.name == command) {
+        return Ok((syntax, &args[1..]));
+    }
+    let verbs: Vec<(&str, &'static Syntax)> = COMMANDS
+        .iter()
+        .filter_map(|s| Some((s.name.strip_prefix(command)?.strip_prefix(' ')?, s)))
+        .collect();
+    if verbs.is_empty() {
+        return Err(err(format!("unknown command: {command}")));
+    }
+    let expected = verbs.iter().map(|(verb, _)| *verb).collect::<Vec<_>>().join(" | ");
+    let Some(word) = args.get(1).filter(|word| !word.starts_with("--")) else {
+        return Err(err(format!("{command} requires a verb: {expected}")));
+    };
+    let syntax = verbs.iter().find(|(verb, _)| verb == word).map(|(_, s)| (*s, &args[2..]));
+    syntax.ok_or_else(|| err(format!("unknown {command} verb: {word} (expected {expected})")))
 }
 
 fn parse_algorithm(name: &str) -> Result<AlgorithmChoice, CliError> {
@@ -486,288 +798,96 @@ fn parse_dynamics(name: &str, n: usize, horizon: u64, p: f64) -> Result<Dynamics
 }
 
 /// The scenario `scenario` and `capture` describe with their flags.
-fn parse_scenario(command: &str, pairs: &[(&str, &str)]) -> Result<Scenario, CliError> {
-    let n: usize = parse_num(pairs, "n", 0)?;
-    let k: usize = parse_num(pairs, "k", 0)?;
-    if n == 0 || k == 0 {
-        return Err(err(format!("{command} requires --n and --k")));
-    }
-    let horizon: u64 = parse_num(pairs, "horizon", 1000)?;
-    let p: f64 = parse_num(pairs, "p", 0.5)?;
-    let algorithm = parse_algorithm(lookup(pairs, "algorithm").unwrap_or("pef3+"))?;
-    let dynamics =
-        parse_dynamics(lookup(pairs, "dynamics").unwrap_or("bernoulli"), n, horizon, p)?;
+fn parse_scenario(a: &Args) -> Result<Scenario, CliError> {
+    let n: usize = a.need("n")?;
+    let k: usize = a.need("k")?;
+    let horizon: u64 = a.or("horizon", 1000)?;
+    let p: f64 = a.or("p", 0.5)?;
+    let algorithm = parse_algorithm(a.value("algorithm").unwrap_or("pef3+"))?;
+    let dynamics = parse_dynamics(a.value("dynamics").unwrap_or("bernoulli"), n, horizon, p)?;
     let placement = if matches!(dynamics, DynamicsChoice::TwoConfiner { .. }) {
         PlacementSpec::Adjacent { count: k, start: 0 }
     } else {
         PlacementSpec::EvenlySpaced { count: k }
     };
-    let min_covers: u64 = parse_num(pairs, "min-covers", 3)?;
+    let min_covers: u64 = a.or("min-covers", 3)?;
     Ok(Scenario::new(n, placement, algorithm, dynamics, horizon)
-        .with_seed(parse_num(pairs, "seed", 0xDECADEu64)?)
+        .with_seed(a.or("seed", 0xDECADE)?)
         .with_criteria(SuccessCriteria::covers(min_covers)))
 }
 
-/// Parses a full argument vector (without the program name).
-///
-/// # Errors
-///
-/// [`CliError`] with a human-readable message.
-pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let (positional, pairs) = split_flags(args)?;
-    if positional.contains(&"--help") || positional.is_empty() {
-        return Ok(Command::Help);
-    }
-    // A flag the command (or its verb) does not read is refused, never
-    // ignored: a mistyped `--max-unit 5` must not run the whole campaign.
-    // An unknown verb is left to the command's own error.
-    let command = positional[0];
-    let verb = positional.get(1).map(|verb| format!("{command} {verb}"));
-    let entry = FLAGS
-        .iter()
-        .find(|(name, _)| Some(*name) == verb.as_deref())
-        .or_else(|| FLAGS.iter().find(|(name, _)| *name == command));
-    if let Some((name, known)) = entry {
-        let switches = positional.iter().filter_map(|a| a.strip_prefix("--"));
-        let mut flags = pairs.iter().map(|(k, _)| *k).chain(switches);
-        if let Some(key) = flags.find(|k| !known.contains(k)) {
-            return Err(err(format!("unknown flag --{key} for {name}")));
-        }
-        // Likewise a stray word: only the store and ledger lists of
-        // `campaign status|merge` and `metrics`, and certify's one STORE,
-        // take positional arguments.
-        let taken = match *name {
-            "campaign status" | "campaign merge" | "metrics show" | "metrics top"
-            | "metrics diff" => usize::MAX,
-            "certify" => 1,
-            _ => 0,
-        };
-        let mut words =
-            positional[name.split(' ').count()..].iter().filter(|a| !a.starts_with("--"));
-        if let Some(word) = words.nth(taken) {
-            return Err(err(format!("unknown argument {word} for {name}")));
-        }
-    }
-    match command {
-        "capture" => {
-            let out = lookup(&pairs, "out")
-                .ok_or_else(|| err("capture requires --out FILE"))?
-                .to_string();
-            Ok(Command::Capture { scenario: parse_scenario(command, &pairs)?, out })
-        }
-        "replay" => {
-            let file = lookup(&pairs, "file")
-                .ok_or_else(|| err("replay requires --file FILE"))?
-                .to_string();
-            Ok(Command::Replay { file })
-        }
-        "table1" => {
-            let mut opts = Table1Options::default();
-            opts.horizon = parse_num(&pairs, "horizon", opts.horizon)?;
-            opts.min_covers = parse_num(&pairs, "min-covers", opts.min_covers)?;
-            opts.seed = parse_num(&pairs, "seed", opts.seed)?;
-            Ok(Command::Table1(opts))
-        }
-        "scenario" => Ok(Command::Scenario(parse_scenario(command, &pairs)?)),
-        "coverage" => Ok(Command::Coverage {
-            n: parse_num(&pairs, "n", 8)?,
-            k: parse_num(&pairs, "k", 3)?,
-            horizon: parse_num(&pairs, "horizon", 800)?,
-            seed: parse_num(&pairs, "seed", 0xC0FFEEu64)?,
-        }),
-        "montecarlo" => {
-            let config = MonteCarloConfig {
-                ring_size: parse_num(&pairs, "n", 16)?,
-                robots: parse_num(&pairs, "k", 3)?,
-                presence_probability: parse_num(&pairs, "p", 0.5)?,
-                horizon: parse_num(&pairs, "horizon", 2000)?,
-                replicas: parse_num(&pairs, "replicas", 256)?,
-                seed: parse_num(&pairs, "seed", 0xDECADEu64)?,
-                algorithm: parse_algorithm(lookup(&pairs, "algorithm").unwrap_or("pef3+"))?,
+fn parse_campaign_run(a: &Args, fresh: bool) -> Result<Command, CliError> {
+    let (spec, store) = (a.need("spec")?, a.need("store")?);
+    let supervisor = match a.get("procs")? {
+        None => None,
+        Some(procs) => {
+            let d = SuperviseOptions::default();
+            let options = SuperviseOptions {
+                max_retries: a.or("max-retries", d.max_retries)?,
+                backoff_ms: a.or("backoff-ms", d.backoff_ms)?,
+                heartbeat_timeout_ms: a.or("heartbeat-timeout-ms", d.heartbeat_timeout_ms)?,
+                steal: !a.has("no-steal"),
+                steal_after_ms: a.get("steal-after-ms")?,
+                progress: a.has("progress"),
+                progress_json: a.has("json"),
+                ..d
             };
-            Ok(Command::MonteCarlo {
-                config,
-                out: lookup(&pairs, "out").map(str::to_string),
-            })
+            Some(Supervisor { procs, manifest: a.get("manifest")?, dir: a.get("dir")?, options })
         }
-        "campaign" => {
-            let verb = match positional.get(1) {
-                Some(&"run") => CampaignVerb::Run,
-                Some(&"resume") => CampaignVerb::Resume,
-                Some(&"report") => CampaignVerb::Report,
-                Some(&"shard") => CampaignVerb::Shard,
-                Some(&"work") => CampaignVerb::Work,
-                Some(&"merge") => CampaignVerb::Merge,
-                Some(&"status") => CampaignVerb::Status,
-                Some(other) if !other.starts_with("--") => {
-                    return Err(err(format!(
-                        "unknown campaign verb: {other} (expected run | resume | \
-                         report | shard | work | merge | status)"
-                    )))
-                }
-                _ => {
-                    return Err(err(
-                        "campaign requires a verb: run | resume | report | shard | \
-                         work | merge | status",
-                    ))
-                }
-            };
-            // Everything positional past the verb (minus value-less
-            // flags) is a store path — `status STORE…`, `merge … STORE…`.
-            let stores: Vec<String> = positional[2..]
-                .iter()
-                .filter(|a| !a.starts_with("--"))
-                .map(|a| a.to_string())
-                .collect();
-            let spec = lookup(&pairs, "spec").map(str::to_string);
-            if spec.is_none() && verb != CampaignVerb::Status {
-                return Err(err("campaign requires --spec FILE"));
-            }
-            let store = lookup(&pairs, "store").map(str::to_string);
-            let needs_store = matches!(
-                verb,
-                CampaignVerb::Run
-                    | CampaignVerb::Resume
-                    | CampaignVerb::Report
-                    | CampaignVerb::Merge
-            );
-            if store.is_none() && needs_store {
-                return Err(err("campaign requires --store FILE"));
-            }
-            let manifest = lookup(&pairs, "manifest").map(str::to_string);
-            if verb == CampaignVerb::Status && stores.is_empty() && manifest.is_none() {
-                return Err(err(
-                    "campaign status requires at least one STORE path or --manifest FILE",
-                ));
-            }
-            let procs = parse_opt_num(&pairs, "procs")?;
-            if procs == Some(0) {
-                return Err(err("--procs must be at least 1"));
-            }
-            let shards = parse_opt_num(&pairs, "shards")?;
-            if verb == CampaignVerb::Shard && shards.is_none() {
-                return Err(err("campaign shard requires --shards N"));
-            }
-            let index = parse_opt_num(&pairs, "index")?;
-            if verb == CampaignVerb::Work {
-                if manifest.is_none() {
-                    return Err(err("campaign work requires --manifest FILE"));
-                }
-                if index.is_none() {
-                    return Err(err("campaign work requires --index I"));
-                }
-            }
-            if verb == CampaignVerb::Merge && manifest.is_none() && stores.is_empty() {
-                return Err(err(
-                    "campaign merge needs --manifest FILE or shard STORE… paths",
-                ));
-            }
-            Ok(Command::Campaign {
-                verb,
-                spec,
-                store,
-                stores,
-                workers: parse_opt_num(&pairs, "workers")?,
-                max_units: parse_opt_num(&pairs, "max-units")?,
-                out: lookup(&pairs, "out").map(str::to_string),
-                manifest,
-                procs,
-                shards,
-                index,
-                dir: lookup(&pairs, "dir").map(str::to_string),
-                max_retries: parse_num(&pairs, "max-retries", 3)?,
-                backoff_ms: parse_num(&pairs, "backoff-ms", 250)?,
-                heartbeat_timeout_ms: parse_num(&pairs, "heartbeat-timeout-ms", 30_000)?,
-                no_steal: positional.contains(&"--no-steal"),
-                steal_after_ms: parse_opt_num(&pairs, "steal-after-ms")?,
-                progress: positional.contains(&"--progress"),
-                json: positional.contains(&"--json"),
-                metrics_out: lookup(&pairs, "metrics-out").map(str::to_string),
-            })
-        }
-        "metrics" => {
-            let verb = match positional.get(1) {
-                Some(&"show") => MetricsVerb::Show,
-                Some(&"diff") => MetricsVerb::Diff,
-                Some(&"top") => MetricsVerb::Top,
-                Some(other) if !other.starts_with("--") => {
-                    return Err(err(format!(
-                        "unknown metrics verb: {other} (expected show | diff | top)"
-                    )))
-                }
-                _ => return Err(err("metrics requires a verb: show | diff | top")),
-            };
-            let ledgers: Vec<String> = positional[2..]
-                .iter()
-                .filter(|a| !a.starts_with("--"))
-                .map(|a| a.to_string())
-                .collect();
-            match verb {
-                MetricsVerb::Diff if ledgers.len() != 2 => {
-                    return Err(err(
-                        "metrics diff needs exactly two ledger paths: LEDGER_A LEDGER_B",
-                    ))
-                }
-                _ if ledgers.is_empty() => {
-                    return Err(err(
-                        "metrics needs at least one events ledger path \
-                         (<store>.events.jsonl)",
-                    ))
-                }
-                _ => {}
-            }
-            Ok(Command::Metrics {
-                verb,
-                ledgers,
-                json: positional.contains(&"--json"),
-                limit: parse_num(&pairs, "limit", 10)?,
-            })
-        }
-        "certify" => {
-            let store = positional
-                .get(1)
-                .ok_or_else(|| err("certify requires a store path: certify STORE --spec FILE"))?
-                .to_string();
-            let spec = lookup(&pairs, "spec")
-                .ok_or_else(|| err("certify requires --spec FILE"))?
-                .to_string();
-            let level: u8 = parse_num(&pairs, "level", 1)?;
-            if !(1..=2).contains(&level) {
-                return Err(err(format!("--level must be 1 or 2, not {level}")));
-            }
-            if level == 1 && (lookup(&pairs, "sample").is_some() || lookup(&pairs, "seed").is_some())
-            {
-                return Err(err("--sample/--seed are only valid with --level 2"));
-            }
-            Ok(Command::Certify {
-                store,
-                spec,
-                level,
-                sample: parse_num(&pairs, "sample", 8)?,
-                seed: parse_num(&pairs, "seed", 0xCE47u64)?,
-                out: lookup(&pairs, "out").map(str::to_string),
-            })
-        }
-        "bench-report" => Ok(Command::BenchReport {
-            out: lookup(&pairs, "out").unwrap_or("BENCH_engine.json").to_string(),
-            // `--quick` is value-less: split_flags routes it to positional.
-            quick: positional.contains(&"--quick"),
-            check: lookup(&pairs, "check").map(str::to_string),
-        }),
-        "sweep-p" => Ok(Command::SweepPresence {
-            n: parse_num(&pairs, "n", 10)?,
-            k: parse_num(&pairs, "k", 3)?,
-            horizon: parse_num(&pairs, "horizon", 1500)?,
-            seeds: parse_num(&pairs, "seeds", 5)?,
-        }),
-        other => Err(err(format!("unknown command: {other}"))),
+    };
+    Ok(Command::CampaignRun(CampaignRun {
+        fresh,
+        spec,
+        store,
+        workers: a.get("workers")?,
+        max_units: a.get("max-units")?,
+        metrics_out: a.get("metrics-out")?,
+        supervisor,
+    }))
+}
+
+/// The ledger list of `metrics show|top`.
+fn parse_ledgers(a: &Args) -> Result<Vec<String>, CliError> {
+    if a.words.is_empty() {
+        return Err(err("metrics needs at least one events ledger path (<store>.events.jsonl)"));
     }
+    Ok(a.words())
+}
+
+fn parse_certify(a: &Args) -> Result<Command, CliError> {
+    let [store] = a.words[..] else {
+        return Err(err("certify requires a store path: certify STORE --spec FILE"));
+    };
+    let spec = a.need("spec")?;
+    let level: u8 = a.or("level", 1)?;
+    if !(1..=2).contains(&level) {
+        return Err(err(format!("--level must be 1 or 2, not {level}")));
+    }
+    if level == 1 && (a.has("sample") || a.has("seed")) {
+        return Err(err("--sample/--seed are only valid with --level 2"));
+    }
+    Ok(Command::Certify {
+        store: store.to_string(),
+        spec,
+        level,
+        sample: a.or("sample", 8)?,
+        seed: a.or("seed", 0xCE47)?,
+        out: a.get("out")?,
+    })
+}
+
+/// Reads and parses the campaign spec at `path` (every campaign verb but
+/// `status`, and `certify`).
+fn load_spec(path: &str) -> Result<CampaignSpec, Box<dyn Error>> {
+    let json = std::fs::read_to_string(path)?;
+    let spec = serde_json::from_str(&json)
+        .map_err(|e| CliError(format!("cannot parse campaign spec {path}: {e}")))?;
+    Ok(spec)
 }
 
 /// Writes the process-global metrics registry to `path`: Prometheus
 /// text exposition when the path ends in `.prom`, pretty JSON
-/// otherwise. Called at the end of a `--metrics-out` campaign verb, so
-/// the snapshot reflects everything the verb did.
+/// otherwise.
 fn write_metrics_snapshot(path: &str) -> Result<(), Box<dyn Error>> {
     let snap = dynring_obs::global().snapshot();
     let text = if path.ends_with(".prom") {
@@ -803,12 +923,64 @@ fn emit_merge(
     sink.sync()
 }
 
-/// Executes a parsed command, printing results to stdout.
+/// Summarizes the events ledgers at `paths`, refusing a missing one.
+fn summarize_ledgers(paths: &[String]) -> Result<LedgerSummary, Box<dyn Error>> {
+    let mut loaded: Vec<LoadedLedger> = Vec::new();
+    for path in paths {
+        let ledger = EventLedger::new(Path::new(path));
+        if !ledger.exists() {
+            return Err(Box::new(CliError(format!(
+                "no events ledger at {path} (run the campaign with \
+                 --metrics-out to record one)"
+            ))));
+        }
+        loaded.push(ledger.load()?);
+    }
+    Ok(dynring_campaign::summarize(&loaded))
+}
+
+/// Prints the summary of the events ledgers at `paths`: as JSON, as the
+/// `limit` slowest groups, or whole.
+fn print_summary(paths: &[String], json: bool, limit: Option<usize>) -> Result<(), Box<dyn Error>> {
+    let summary = summarize_ledgers(paths)?;
+    if json {
+        println!("{}", serde_json::to_string_pretty(&summary)?);
+    } else if let Some(limit) = limit {
+        print!("{}", dynring_campaign::render_top(&summary, limit));
+    } else {
+        print!("{}", dynring_campaign::render_summary(&summary));
+    }
+    Ok(())
+}
+
+/// Executes a parsed command, printing results to stdout. A campaign verb
+/// given `--metrics-out` then writes its metrics snapshot, when it
+/// succeeded or ended as a [`PartialCampaign`].
 ///
 /// # Errors
 ///
 /// Boxed scenario/graph errors from the harness.
 pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
+    let metrics_out = match &command {
+        Command::CampaignRun(CampaignRun { metrics_out, .. })
+        | Command::CampaignWork { metrics_out, .. }
+        | Command::CampaignMerge { metrics_out, .. } => metrics_out.clone(),
+        _ => None,
+    };
+    let result = execute(command);
+    if let Some(path) = metrics_out {
+        if result.as_ref().err().is_none_or(|e| e.is::<PartialCampaign>()) {
+            write_metrics_snapshot(&path)?;
+        }
+    }
+    result
+}
+
+fn execute(command: Command) -> Result<(), Box<dyn Error>> {
+    use dynring_campaign::{
+        load_report, merge_manifest, merge_stores, render, run_campaign, RunOptions,
+    };
+
     match command {
         Command::Help => {
             println!("{USAGE}");
@@ -876,7 +1048,7 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             }
         }
         Command::Coverage { n, k, horizon, seed } => {
-            use dynring_analysis::parallel::{available_workers, coverage_matrix};
+            use dynring_analysis::parallel::coverage_matrix;
             println!(
                 "portfolio × benign suite on n={n}, k={k} ({} workers)…\n",
                 available_workers()
@@ -902,7 +1074,6 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
             );
         }
         Command::MonteCarlo { config, out } => {
-            use dynring_analysis::parallel::available_workers;
             println!(
                 "{} × {} Bernoulli replicas on n={}, k={}, p={} (64 lanes/batch, {} workers)…\n",
                 config.batches(),
@@ -942,441 +1113,337 @@ pub fn run(command: Command) -> Result<(), Box<dyn Error>> {
                 println!("\nsummary written to {path}");
             }
         }
-        Command::Campaign {
-            verb,
-            spec,
-            store,
-            stores,
-            workers,
-            max_units,
-            out,
-            manifest,
-            procs,
-            shards,
-            index,
-            dir,
-            max_retries,
-            backoff_ms,
-            heartbeat_timeout_ms,
-            no_steal,
-            steal_after_ms,
-            progress,
-            json,
-            metrics_out,
-        } => {
-            use dynring_analysis::parallel::available_workers;
-            use dynring_campaign::fault::{
-                ProcessFault, SHARD_ATTEMPT_ENV, WORKER_FAULT_EXIT_CODE,
-            };
-            use dynring_campaign::{
-                load_report, merge_manifest, merge_stores, render, render_progress,
-                run_campaign, shard_progress, supervise, FailPlan, FaultKind, RunOptions,
-                ShardManifest, ShardProgress, ShardSel, SuperviseOptions,
-            };
+        Command::CampaignStatus { manifest, stores, json } => {
+            use dynring_campaign::{render_progress, shard_progress, ShardProgress};
 
             // `status` is spec-free: each store is read on its own terms
             // (totals come from its header). With --manifest the rows come
             // from the shard manifest instead: per-shard ranges, attempt
             // counts, and generation splits included.
-            if verb == CampaignVerb::Status {
-                let mut rows = Vec::new();
-                if let Some(mpath) = &manifest {
-                    let man = ShardManifest::load(Path::new(mpath))?;
-                    rows.extend(man.entries.iter().map(|e| {
-                        let store = ResultStore::new(&e.store);
-                        ShardProgress::of_shard(&store, e.index, e.units, e.attempts)
-                    }));
+            let mut rows = Vec::new();
+            if let Some(mpath) = &manifest {
+                let man = ShardManifest::load(Path::new(mpath))?;
+                rows.extend(man.entries.iter().map(|e| {
+                    let store = ResultStore::new(&e.store);
+                    ShardProgress::of_shard(&store, e.index, e.units, e.attempts)
+                }));
+            }
+            let base = rows.len();
+            for (i, s) in stores.iter().enumerate() {
+                rows.push(shard_progress(&ResultStore::new(s), base + i, None)?);
+            }
+            if json {
+                println!("{}", serde_json::to_string_pretty(&rows)?);
+            } else {
+                print!("{}", render_progress(&rows));
+            }
+        }
+        Command::CampaignShard { spec, shards, index, dir, manifest } => {
+            let plan = load_spec(&spec)?.plan()?;
+            let dir_path = dir.unwrap_or_else(|| ".".to_string());
+            std::fs::create_dir_all(&dir_path)?;
+            let man = ShardManifest::build(&plan, shards, Path::new(&dir_path));
+            if let Some(i) = index {
+                let e = man.entry(i)?;
+                println!(
+                    "shard {i} of {}: units {}..{} → {}",
+                    man.shards,
+                    e.start,
+                    e.start + e.units,
+                    e.store
+                );
+            }
+            let manifest_path = manifest.unwrap_or_else(|| format!("{}.manifest.json", plan.name));
+            man.write(Path::new(&manifest_path))?;
+            println!(
+                "campaign `{}`: {} units split into {} shards (manifest {manifest_path})",
+                plan.name,
+                plan.units.len(),
+                man.shards
+            );
+            for e in &man.entries {
+                println!(
+                    "  shard {}: units {}..{} → {}",
+                    e.index,
+                    e.start,
+                    e.start + e.units,
+                    e.store
+                );
+            }
+        }
+        Command::CampaignWork { spec, manifest, index: idx, workers, max_units, metrics_out } => {
+            use dynring_campaign::fault::{ProcessFault, SHARD_ATTEMPT_ENV, WORKER_FAULT_EXIT_CODE};
+            use dynring_campaign::{FailPlan, FaultKind, ShardSel};
+
+            let campaign = load_spec(&spec)?;
+            let man = ShardManifest::load(Path::new(&manifest))?;
+            let plan = campaign.plan()?;
+            man.matches(&plan)?;
+            let entry = man.entry(idx)?.clone();
+            let shard_store = ResultStore::new(&entry.store);
+            let attempt: usize = std::env::var(SHARD_ATTEMPT_ENV)
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(0);
+            let fault = ProcessFault::from_env(idx, attempt).map_err(CliError)?;
+            // The shard runs its manifest *range*, not a balanced
+            // index: after a steal the entry may be a generation
+            // child covering an arbitrary sub-range.
+            let mut opts = RunOptions {
+                workers: workers.unwrap_or_else(available_workers),
+                max_units,
+                fresh: false,
+                shard: Some(ShardSel::Range { start: entry.start, units: entry.units }),
+                events: events_ledger(&entry.store, &metrics_out),
+                ..RunOptions::default()
+            };
+            let unit_hash = |i: usize, what: &str| {
+                let units = plan.units.len();
+                plan.units.get(i).map(|u| u.hash.clone()).ok_or_else(|| {
+                    CliError(format!("{what} {i} out of range ({units} units)"))
+                })
+            };
+            match &fault {
+                None => {}
+                Some(ProcessFault::SlowUnit { index: i, ms }) => {
+                    opts.slow_unit = Some((unit_hash(*i, "slow-unit index")?, *ms));
                 }
-                let base = rows.len();
-                for (i, s) in stores.iter().enumerate() {
-                    rows.push(shard_progress(&ResultStore::new(s), base + i, None)?);
+                Some(ProcessFault::KillAfterBytes(after_bytes)) => {
+                    let kill = FaultKind::Kill { after_bytes: *after_bytes };
+                    opts.fault = Some(FailPlan::new(kill));
                 }
-                if json {
-                    println!("{}", serde_json::to_string_pretty(&rows)?);
+                Some(ProcessFault::IoErrorAfterUnits(k)) => {
+                    // The fault counts units appended *by this
+                    // invocation*; the store trigger is an absolute
+                    // record index, so offset by what's there. The
+                    // injected io::Error surfaces as a plain runtime
+                    // error: worker exits 1, nothing torn.
+                    let existing = shard_store.load().map(|l| l.records.len()).unwrap_or(0);
+                    let io = FaultKind::IoError { record: existing + k };
+                    opts.fault = Some(FailPlan::new(io));
+                }
+                Some(ProcessFault::PoisonUnit(hash)) => opts.poison = Some(hash.clone()),
+                Some(ProcessFault::PoisonIndex(i)) => {
+                    opts.poison = Some(unit_hash(*i, "poison-index")?);
+                }
+                Some(ProcessFault::ExitAfterUnits(k) | ProcessFault::StallAfterUnits(k)) => {
+                    // Execute exactly k units (store fsynced per
+                    // wave), then die or hang as instructed below.
+                    opts.max_units = Some((*k).min(max_units.unwrap_or(usize::MAX)));
+                }
+            }
+            println!(
+                "shard {idx}/{}: {} units, attempt {attempt} (store {})",
+                man.shards, entry.units, entry.store
+            );
+            let outcome = match run_campaign(&campaign, &shard_store, &opts) {
+                // Die like `kill -9` would: no unwind, no cleanup,
+                // torn tail left behind. Whoever draws a poisoned
+                // unit dies on the spot, wherever the steal moved
+                // it: everything before it is fsynced.
+                Err(CampaignError::InjectedFault(_)) => std::process::abort(),
+                result => result?,
+            };
+            println!(
+                "shard {idx}: {} executed, {} skipped, {} pending",
+                outcome.executed, outcome.skipped, outcome.pending
+            );
+            match fault {
+                Some(ProcessFault::StallAfterUnits(_)) if !outcome.is_complete() => loop {
+                    std::thread::sleep(std::time::Duration::from_secs(3600));
+                },
+                Some(ProcessFault::ExitAfterUnits(_)) if !outcome.is_complete() => {
+                    std::process::exit(WORKER_FAULT_EXIT_CODE)
+                }
+                _ => {}
+            }
+        }
+        Command::CampaignMerge { spec: spec_path, store: out_path, shards, metrics_out } => {
+            let campaign = load_spec(&spec_path)?;
+            let out_store = ResultStore::new(&out_path);
+            let outcome = match shards {
+                MergeFrom::Manifest(path) => {
+                    let man = ShardManifest::load(Path::new(&path))?;
+                    merge_manifest(&campaign, &man, &out_store)?
+                }
+                MergeFrom::Stores(paths) => {
+                    let shard_stores: Vec<ResultStore> =
+                        paths.iter().map(ResultStore::new).collect();
+                    merge_stores(&campaign, &shard_stores, &out_store)?
+                }
+            };
+            emit_merge(&out_path, &metrics_out, &outcome)?;
+            println!(
+                "merged {} units from {} shard stores into {out_path}",
+                outcome.merged, outcome.shards
+            );
+            if outcome.sealed {
+                println!(
+                    "canonical store sealed (certify with: dynring certify \
+                     {out_path} --spec {spec_path} --level 2)"
+                );
+            } else {
+                println!(
+                    "partial merge: {} units missing, {} held back past the \
+                     first gap (unsealed; re-merge once the missing shards \
+                     finish)",
+                    outcome.missing, outcome.held_back
+                );
+            }
+        }
+        Command::CampaignRun(CampaignRun {
+            fresh,
+            spec: spec_path,
+            store: store_path,
+            workers,
+            max_units,
+            metrics_out,
+            supervisor,
+        }) => {
+            use dynring_campaign::supervise;
+
+            let campaign = load_spec(&spec_path)?;
+            let result_store = ResultStore::new(&store_path);
+            if let Some(sup) = supervisor {
+                // Supervisor mode: shard the plan over child
+                // processes, restart the dead, merge at the end.
+                let plan = campaign.plan()?;
+                let manifest_path =
+                    sup.manifest.unwrap_or_else(|| format!("{store_path}.manifest.json"));
+                let mpath = Path::new(&manifest_path).to_path_buf();
+                let mut man = if mpath.exists() {
+                    if fresh {
+                        return Err(Box::new(CliError(format!(
+                            "shard manifest {manifest_path} already exists; \
+                             use `campaign resume --procs` to continue it"
+                        ))));
+                    }
+                    let m = ShardManifest::load(&mpath)?;
+                    m.matches(&plan)?;
+                    m
                 } else {
-                    print!("{}", render_progress(&rows));
+                    if fresh
+                        && std::fs::metadata(&store_path).map(|m| m.len() > 0).unwrap_or(false)
+                    {
+                        return Err(Box::new(CliError(format!(
+                            "store {store_path} already has content; use \
+                             `campaign resume`"
+                        ))));
+                    }
+                    let dir_path = sup.dir.unwrap_or_else(|| format!("{store_path}.shards"));
+                    std::fs::create_dir_all(&dir_path)?;
+                    ShardManifest::build(&plan, sup.procs, Path::new(&dir_path))
+                };
+                let sopts = SuperviseOptions {
+                    workers_per_proc: workers
+                        .unwrap_or_else(|| (available_workers() / man.shards.max(1)).max(1)),
+                    events: events_ledger(&store_path, &metrics_out),
+                    ..sup.options
+                };
+                println!(
+                    "campaign `{}`: {} shards × {} workers over {} units \
+                     (manifest {manifest_path})…",
+                    plan.name,
+                    man.shards,
+                    sopts.workers_per_proc,
+                    plan.units.len()
+                );
+                let exe = std::env::current_exe()?;
+                let outcome = supervise(&exe, Path::new(&spec_path), &mpath, &mut man, &sopts)?;
+                println!(
+                    "supervisor: {}/{} shards complete, {} restart(s), \
+                     {} steal(s)",
+                    outcome.completed, outcome.shards, outcome.restarts, outcome.steals
+                );
+                if !outcome.is_complete() {
+                    // Distinct exit code (3): the campaign ran, most
+                    // shards finished, only quarantined ranges are
+                    // missing — unlike a spawn/config failure (1).
+                    return Err(Box::new(PartialCampaign(format!(
+                        "campaign partial: {} shard(s) quarantined; continue \
+                         with: dynring campaign resume --spec {spec_path} \
+                         --store {store_path} --procs {}",
+                        outcome.quarantined.len(),
+                        sup.procs
+                    ))));
+                }
+                if matches!(result_store.load(), Ok(l) if l.sealed) {
+                    println!("canonical store {store_path} already sealed; skipping merge");
+                } else {
+                    let merged = merge_manifest(&campaign, &man, &result_store)?;
+                    emit_merge(&store_path, &metrics_out, &merged)?;
+                    println!(
+                        "merged {} units into {store_path} (sealed: {}); \
+                         certify with: dynring certify {store_path} --spec \
+                         {spec_path} --level 2",
+                        merged.merged, merged.sealed
+                    );
                 }
                 return Ok(());
             }
-            let spec_path = spec.expect("parse guarantees --spec outside status");
-            let spec_json = std::fs::read_to_string(&spec_path)?;
-            let campaign: dynring_campaign::CampaignSpec = serde_json::from_str(&spec_json)
-                .map_err(|e| CliError(format!("cannot parse campaign spec {spec_path}: {e}")))?;
-            match verb {
-                CampaignVerb::Status => unreachable!("handled above"),
-                CampaignVerb::Shard => {
-                    let plan = campaign.plan()?;
-                    let count = shards.expect("parse guarantees --shards");
-                    let dir_path = dir.unwrap_or_else(|| ".".to_string());
-                    std::fs::create_dir_all(&dir_path)?;
-                    let man = ShardManifest::build(&plan, count, Path::new(&dir_path));
-                    if let Some(i) = index {
-                        let e = man.entry(i)?;
-                        println!(
-                            "shard {i} of {}: units {}..{} → {}",
-                            man.shards,
-                            e.start,
-                            e.start + e.units,
-                            e.store
-                        );
-                    }
-                    let manifest_path = manifest
-                        .unwrap_or_else(|| format!("{}.manifest.json", plan.name));
-                    man.write(Path::new(&manifest_path))?;
-                    println!(
-                        "campaign `{}`: {} units split into {} shards (manifest {manifest_path})",
-                        plan.name,
-                        plan.units.len(),
-                        man.shards
-                    );
-                    for e in &man.entries {
-                        println!(
-                            "  shard {}: units {}..{} → {}",
-                            e.index,
-                            e.start,
-                            e.start + e.units,
-                            e.store
-                        );
-                    }
-                }
-                CampaignVerb::Work => {
-                    let manifest_path = manifest.expect("parse guarantees --manifest");
-                    let man = ShardManifest::load(Path::new(&manifest_path))?;
-                    let plan = campaign.plan()?;
-                    man.matches(&plan)?;
-                    let idx = index.expect("parse guarantees --index");
-                    let entry = man.entry(idx)?.clone();
-                    let shard_store = ResultStore::new(&entry.store);
-                    let attempt: usize = std::env::var(SHARD_ATTEMPT_ENV)
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(0);
-                    let fault =
-                        ProcessFault::from_env(idx, attempt).map_err(CliError)?;
-                    // The shard runs its manifest *range*, not a balanced
-                    // index: after a steal the entry may be a generation
-                    // child covering an arbitrary sub-range.
-                    let mut opts = RunOptions {
-                        workers: workers.unwrap_or_else(available_workers),
-                        max_units,
-                        fresh: false,
-                        fault: None,
-                        shard: Some(ShardSel::Range { start: entry.start, units: entry.units }),
-                        poison: None,
-                        events: events_ledger(&entry.store, &metrics_out),
-                        slow_unit: None,
-                    };
-                    let unit_hash = |i: usize, what: &str| {
-                        let units = plan.units.len();
-                        plan.units.get(i).map(|u| u.hash.clone()).ok_or_else(|| {
-                            CliError(format!("{what} {i} out of range ({units} units)"))
-                        })
-                    };
-                    match &fault {
-                        None => {}
-                        Some(ProcessFault::SlowUnit { index: i, ms }) => {
-                            opts.slow_unit = Some((unit_hash(*i, "slow-unit index")?, *ms));
-                        }
-                        Some(ProcessFault::KillAfterBytes(after_bytes)) => {
-                            let kill = FaultKind::Kill { after_bytes: *after_bytes };
-                            opts.fault = Some(FailPlan::new(kill));
-                        }
-                        Some(ProcessFault::IoErrorAfterUnits(k)) => {
-                            // The fault counts units appended *by this
-                            // invocation*; the store trigger is an absolute
-                            // record index, so offset by what's there. The
-                            // injected io::Error surfaces as a plain runtime
-                            // error: worker exits 1, nothing torn.
-                            let existing =
-                                shard_store.load().map(|l| l.records.len()).unwrap_or(0);
-                            let io = FaultKind::IoError { record: existing + k };
-                            opts.fault = Some(FailPlan::new(io));
-                        }
-                        Some(ProcessFault::PoisonUnit(hash)) => opts.poison = Some(hash.clone()),
-                        Some(ProcessFault::PoisonIndex(i)) => {
-                            opts.poison = Some(unit_hash(*i, "poison-index")?);
-                        }
-                        Some(
-                            ProcessFault::ExitAfterUnits(k) | ProcessFault::StallAfterUnits(k),
-                        ) => {
-                            // Execute exactly k units (store fsynced per
-                            // wave), then die or hang as instructed below.
-                            opts.max_units = Some((*k).min(max_units.unwrap_or(usize::MAX)));
-                        }
-                    }
-                    println!(
-                        "shard {idx}/{}: {} units, attempt {attempt} (store {})",
-                        man.shards, entry.units, entry.store
-                    );
-                    let outcome = match run_campaign(&campaign, &shard_store, &opts) {
-                        // Die like `kill -9` would: no unwind, no cleanup,
-                        // torn tail left behind. Whoever draws a poisoned
-                        // unit dies on the spot, wherever the steal moved
-                        // it: everything before it is fsynced.
-                        Err(CampaignError::InjectedFault(_)) => std::process::abort(),
-                        result => result?,
-                    };
-                    println!(
-                        "shard {idx}: {} executed, {} skipped, {} pending",
-                        outcome.executed, outcome.skipped, outcome.pending
-                    );
-                    match fault {
-                        Some(ProcessFault::StallAfterUnits(_)) if !outcome.is_complete() => loop {
-                            std::thread::sleep(std::time::Duration::from_secs(3600));
-                        },
-                        Some(ProcessFault::ExitAfterUnits(_)) if !outcome.is_complete() => {
-                            std::process::exit(WORKER_FAULT_EXIT_CODE)
-                        }
-                        _ => {}
-                    }
-                    if let Some(path) = &metrics_out {
-                        write_metrics_snapshot(path)?;
-                    }
-                }
-                CampaignVerb::Merge => {
-                    let out_path = store.expect("parse guarantees --store");
-                    let out_store = ResultStore::new(&out_path);
-                    let outcome = if stores.is_empty() {
-                        let manifest_path =
-                            manifest.expect("parse guarantees manifest or stores");
-                        let man = ShardManifest::load(Path::new(&manifest_path))?;
-                        merge_manifest(&campaign, &man, &out_store)?
-                    } else {
-                        let shard_stores: Vec<ResultStore> =
-                            stores.iter().map(ResultStore::new).collect();
-                        merge_stores(&campaign, &shard_stores, &out_store)?
-                    };
-                    emit_merge(&out_path, &metrics_out, &outcome)?;
-                    println!(
-                        "merged {} units from {} shard stores into {out_path}",
-                        outcome.merged, outcome.shards
-                    );
-                    if outcome.sealed {
-                        println!(
-                            "canonical store sealed (certify with: dynring certify \
-                             {out_path} --spec {spec_path} --level 2)"
-                        );
-                    } else {
-                        println!(
-                            "partial merge: {} units missing, {} held back past the \
-                             first gap (unsealed; re-merge once the missing shards \
-                             finish)",
-                            outcome.missing, outcome.held_back
-                        );
-                    }
-                    if let Some(path) = &metrics_out {
-                        write_metrics_snapshot(path)?;
-                    }
-                }
-                CampaignVerb::Run | CampaignVerb::Resume => {
-                    let store_path = store.expect("parse guarantees --store");
-                    let result_store = ResultStore::new(&store_path);
-                    let fresh = verb == CampaignVerb::Run;
-                    if let Some(procs) = procs {
-                        // Supervisor mode: shard the plan over child
-                        // processes, restart the dead, merge at the end.
-                        let plan = campaign.plan()?;
-                        let manifest_path = manifest
-                            .unwrap_or_else(|| format!("{store_path}.manifest.json"));
-                        let mpath = Path::new(&manifest_path).to_path_buf();
-                        let mut man = if mpath.exists() {
-                            if fresh {
-                                return Err(Box::new(CliError(format!(
-                                    "shard manifest {manifest_path} already exists; \
-                                     use `campaign resume --procs` to continue it"
-                                ))));
-                            }
-                            let m = ShardManifest::load(&mpath)?;
-                            m.matches(&plan)?;
-                            m
-                        } else {
-                            if fresh
-                                && std::fs::metadata(&store_path)
-                                    .map(|m| m.len() > 0)
-                                    .unwrap_or(false)
-                            {
-                                return Err(Box::new(CliError(format!(
-                                    "store {store_path} already has content; use \
-                                     `campaign resume`"
-                                ))));
-                            }
-                            let dir_path =
-                                dir.unwrap_or_else(|| format!("{store_path}.shards"));
-                            std::fs::create_dir_all(&dir_path)?;
-                            ShardManifest::build(&plan, procs, Path::new(&dir_path))
-                        };
-                        let sopts = SuperviseOptions {
-                            workers_per_proc: workers.unwrap_or_else(|| {
-                                (available_workers() / man.shards.max(1)).max(1)
-                            }),
-                            max_retries,
-                            backoff_ms,
-                            heartbeat_timeout_ms,
-                            steal: !no_steal,
-                            steal_after_ms,
-                            progress,
-                            progress_json: json,
-                            events: events_ledger(&store_path, &metrics_out),
-                        };
-                        println!(
-                            "campaign `{}`: {} shards × {} workers over {} units \
-                             (manifest {manifest_path})…",
-                            plan.name,
-                            man.shards,
-                            sopts.workers_per_proc,
-                            plan.units.len()
-                        );
-                        let exe = std::env::current_exe()?;
-                        let outcome =
-                            supervise(&exe, Path::new(&spec_path), &mpath, &mut man, &sopts)?;
-                        println!(
-                            "supervisor: {}/{} shards complete, {} restart(s), \
-                             {} steal(s)",
-                            outcome.completed, outcome.shards, outcome.restarts,
-                            outcome.steals
-                        );
-                        if !outcome.is_complete() {
-                            if let Some(path) = &metrics_out {
-                                write_metrics_snapshot(path)?;
-                            }
-                            // Distinct exit code (3): the campaign ran, most
-                            // shards finished, only quarantined ranges are
-                            // missing — unlike a spawn/config failure (1).
-                            return Err(Box::new(PartialCampaign(format!(
-                                "campaign partial: {} shard(s) quarantined; continue \
-                                 with: dynring campaign resume --spec {spec_path} \
-                                 --store {store_path} --procs {procs}",
-                                outcome.quarantined.len()
-                            ))));
-                        }
-                        if matches!(result_store.load(), Ok(l) if l.sealed) {
-                            println!(
-                                "canonical store {store_path} already sealed; \
-                                 skipping merge"
-                            );
-                        } else {
-                            let merged = merge_manifest(&campaign, &man, &result_store)?;
-                            emit_merge(&store_path, &metrics_out, &merged)?;
-                            println!(
-                                "merged {} units into {store_path} (sealed: {}); \
-                                 certify with: dynring certify {store_path} --spec \
-                                 {spec_path} --level 2",
-                                merged.merged, merged.sealed
-                            );
-                        }
-                        if let Some(path) = &metrics_out {
-                            write_metrics_snapshot(path)?;
-                        }
-                        return Ok(());
-                    }
-                    let opts = RunOptions {
-                        workers: workers.unwrap_or_else(available_workers),
-                        max_units,
-                        fresh,
-                        fault: None,
-                        shard: None,
-                        poison: None,
-                        events: events_ledger(&store_path, &metrics_out),
-                        slow_unit: None,
-                    };
-                    println!(
-                        "campaign `{}`: {} over {} workers (store {store_path})…",
-                        campaign.name,
-                        if fresh { "run" } else { "resume" },
-                        opts.workers
-                    );
-                    let outcome = run_campaign(&campaign, &result_store, &opts)?;
-                    println!(
-                        "planned {} units: {} already stored, {} executed, {} pending",
-                        outcome.planned, outcome.skipped, outcome.executed, outcome.pending
-                    );
-                    if outcome.is_complete() {
-                        println!(
-                            "campaign complete (report with: dynring campaign report \
-                             --spec {spec_path} --store {store_path})"
-                        );
-                    } else {
-                        println!(
-                            "campaign interrupted (finish with: dynring campaign resume \
-                             --spec {spec_path} --store {store_path})"
-                        );
-                    }
-                    if let Some(path) = &metrics_out {
-                        write_metrics_snapshot(path)?;
-                    }
-                }
-                CampaignVerb::Report => {
-                    let store_path = store.expect("parse guarantees --store");
-                    let result_store = ResultStore::new(&store_path);
-                    let report = load_report(&campaign, &result_store)?;
-                    if report.torn_tail {
-                        eprintln!(
-                            "WARNING: torn tail truncated ({} bytes)",
-                            report.torn_bytes
-                        );
-                    }
-                    print!("{}", render(&report));
-                    if let Some(path) = out {
-                        let json = serde_json::to_string_pretty(&report)?;
-                        std::fs::write(&path, json + "\n")?;
-                        println!("\nreport written to {path}");
-                    }
-                }
+            let opts = RunOptions {
+                workers: workers.unwrap_or_else(available_workers),
+                max_units,
+                fresh,
+                events: events_ledger(&store_path, &metrics_out),
+                ..RunOptions::default()
+            };
+            println!(
+                "campaign `{}`: {} over {} workers (store {store_path})…",
+                campaign.name,
+                if fresh { "run" } else { "resume" },
+                opts.workers
+            );
+            let outcome = run_campaign(&campaign, &result_store, &opts)?;
+            println!(
+                "planned {} units: {} already stored, {} executed, {} pending",
+                outcome.planned, outcome.skipped, outcome.executed, outcome.pending
+            );
+            if outcome.is_complete() {
+                println!(
+                    "campaign complete (report with: dynring campaign report \
+                     --spec {spec_path} --store {store_path})"
+                );
+            } else {
+                println!(
+                    "campaign interrupted (finish with: dynring campaign resume \
+                     --spec {spec_path} --store {store_path})"
+                );
             }
         }
-        Command::Metrics { verb, ledgers, json, limit } => {
-            use dynring_campaign::{
-                render_diff, render_summary, render_top, summarize, LoadedLedger,
-            };
-
-            let load = |path: &String| -> Result<LoadedLedger, Box<dyn Error>> {
-                let ledger = EventLedger::new(Path::new(path));
-                if !ledger.exists() {
-                    return Err(Box::new(CliError(format!(
-                        "no events ledger at {path} (run the campaign with \
-                         --metrics-out to record one)"
-                    ))));
+        Command::CampaignReport { spec, store, out } => {
+            let campaign = load_spec(&spec)?;
+            let report = load_report(&campaign, &ResultStore::new(&store))?;
+            if report.torn_tail {
+                eprintln!("WARNING: torn tail truncated ({} bytes)", report.torn_bytes);
+            }
+            print!("{}", render(&report));
+            if let Some(path) = out {
+                let json = serde_json::to_string_pretty(&report)?;
+                std::fs::write(&path, json + "\n")?;
+                println!("\nreport written to {path}");
+            }
+        }
+        Command::MetricsShow { ledgers, json } => print_summary(&ledgers, json, None)?,
+        Command::MetricsTop { ledgers, json, limit } => print_summary(&ledgers, json, Some(limit))?,
+        Command::MetricsDiff { ledgers: [path_a, path_b], json } => {
+            let a = summarize_ledgers(&[path_a])?;
+            let b = summarize_ledgers(&[path_b])?;
+            if json {
+                #[derive(Serialize)]
+                struct DiffPair {
+                    a: LedgerSummary,
+                    b: LedgerSummary,
                 }
-                Ok(ledger.load()?)
-            };
-            match verb {
-                MetricsVerb::Show | MetricsVerb::Top => {
-                    let loaded: Vec<LoadedLedger> =
-                        ledgers.iter().map(&load).collect::<Result<_, _>>()?;
-                    let summary = summarize(&loaded);
-                    if json {
-                        println!("{}", serde_json::to_string_pretty(&summary)?);
-                    } else if verb == MetricsVerb::Top {
-                        print!("{}", render_top(&summary, limit));
-                    } else {
-                        print!("{}", render_summary(&summary));
-                    }
-                }
-                MetricsVerb::Diff => {
-                    let a = summarize(&[load(&ledgers[0])?]);
-                    let b = summarize(&[load(&ledgers[1])?]);
-                    if json {
-                        #[derive(Serialize)]
-                        struct DiffPair {
-                            a: dynring_campaign::LedgerSummary,
-                            b: dynring_campaign::LedgerSummary,
-                        }
-                        println!(
-                            "{}",
-                            serde_json::to_string_pretty(&DiffPair { a, b })?
-                        );
-                    } else {
-                        print!("{}", render_diff(&a, &b));
-                    }
-                }
+                println!("{}", serde_json::to_string_pretty(&DiffPair { a, b })?);
+            } else {
+                print!("{}", dynring_campaign::render_diff(&a, &b));
             }
         }
         Command::Certify { store, spec, level, sample, seed, out } => {
             use dynring_campaign::{certify, render_verdict, CertifyOptions};
 
-            let spec_json = std::fs::read_to_string(&spec)?;
-            let campaign: dynring_campaign::CampaignSpec = serde_json::from_str(&spec_json)
-                .map_err(|e| CliError(format!("cannot parse campaign spec {spec}: {e}")))?;
+            let campaign = load_spec(&spec)?;
             println!(
                 "certifying {store} against spec {spec} at level {level}{}…",
                 if level >= 2 {
@@ -1520,49 +1587,119 @@ mod tests {
 
     #[test]
     fn rejects_unknown_tokens() {
-        assert!(parse(&args(&["frobnicate"])).is_err());
-        assert!(parse(&args(&["scenario", "--n", "8", "--k", "3", "--algorithm", "nope"]))
-            .is_err());
-        assert!(parse(&args(&["scenario", "--n"])).is_err());
-        assert!(parse(&args(&["table1", "--horizon", "abc"])).is_err());
-        // A flag the command does not read is refused by name, never
-        // ignored: mistyped, valid only for another command, or only for
-        // another verb of this one.
+        // A malformed command line is refused with a message naming what
+        // is wrong, never guessed at: a flag the command does not read
+        // (mistyped, valid only for another command, or only for another
+        // verb of this one), a stray word, a missing flag or word, a
+        // supervisor flag without --procs, a zero count.
         let words = |line: &str| args(&line.split(' ').collect::<Vec<_>>());
         let run = "campaign run --spec s --store t";
         let report = "campaign report --spec s --store t";
         let work = "campaign work --spec s --manifest m --index 0";
-        for (line, refused) in [
-            (format!("{run} --max-unit 5"), "flag --max-unit for campaign run"),
-            ("montecarlo --replcas 3".into(), "flag --replcas for montecarlo"),
-            ("scenario --n 8 --k 3 --out x".into(), "flag --out for scenario"),
-            ("table1 --quick".into(), "flag --quick for table1"),
-            ("certify s.jsonl --spec c.json --json".into(), "flag --json for certify"),
-            ("metrics show l.jsonl --progress".into(), "flag --progress for metrics show"),
-            ("metrics show l.jsonl --limit 3".into(), "flag --limit for metrics show"),
-            (format!("{report} --shards 3 --heartbeat-timeout-ms 5"), "flag --shards for campaign report"),
-            ("campaign status t --spec x --progress".into(), "flag --spec for campaign status"),
-            ("campaign status t --progress".into(), "flag --progress for campaign status"),
-            (format!("{run} --out r.json"), "flag --out for campaign run"),
-            ("campaign shard --spec s --shards 2 --workers 2".into(), "flag --workers for campaign shard"),
-            ("campaign merge --spec s --store t a --max-units 2".into(), "flag --max-units for campaign merge"),
-            (format!("{work} --procs 2"), "flag --procs for campaign work"),
-            (format!("{work} --no-steal"), "flag --no-steal for campaign work"),
-            (format!("{report} --steal-after-ms 9"), "flag --steal-after-ms for campaign report"),
-            (format!("{report} --metrics-out m"), "flag --metrics-out for campaign report"),
+        let mut table: Vec<(String, String)> = [
+            ("frobnicate".into(), "unknown command: frobnicate"),
+            ("scenario --n 8 --k 3 --algorithm nope".into(), "unknown algorithm: nope"),
+            ("scenario --n".into(), "flag --n needs a value"),
+            ("table1 --horizon abc".into(), "invalid value for --horizon: abc"),
+            (format!("{run} --max-unit 5"), "unknown flag --max-unit for campaign run"),
+            ("montecarlo --replcas 3".into(), "unknown flag --replcas for montecarlo"),
+            ("scenario --n 8 --k 3 --out x".into(), "unknown flag --out for scenario"),
+            ("table1 --quick".into(), "unknown flag --quick for table1"),
+            ("certify s.jsonl --spec c.json --json".into(), "unknown flag --json for certify"),
+            ("metrics show l.jsonl --progress".into(), "unknown flag --progress for metrics show"),
+            ("metrics show l.jsonl --limit 3".into(), "unknown flag --limit for metrics show"),
+            (format!("{report} --shards 3 --heartbeat-timeout-ms 5"), "unknown flag --shards for campaign report"),
+            ("campaign status t --spec x --progress".into(), "unknown flag --spec for campaign status"),
+            ("campaign status t --progress".into(), "unknown flag --progress for campaign status"),
+            (format!("{run} --out r.json"), "unknown flag --out for campaign run"),
+            ("campaign shard --spec s --shards 2 --workers 2".into(), "unknown flag --workers for campaign shard"),
+            ("campaign merge --spec s --store t a --max-units 2".into(), "unknown flag --max-units for campaign merge"),
+            (format!("{work} --procs 2"), "unknown flag --procs for campaign work"),
+            (format!("{work} --no-steal"), "unknown flag --no-steal for campaign work"),
+            (format!("{report} --steal-after-ms 9"), "unknown flag --steal-after-ms for campaign report"),
+            (format!("{report} --metrics-out m"), "unknown flag --metrics-out for campaign report"),
             // A stray word is refused by name too, wherever it sits.
-            ("campaign shard --spec s --shards 2 stray-arg".into(), "argument stray-arg for campaign shard"),
-            (format!("{report} extra"), "argument extra for campaign report"),
-            (format!("{run} x --procs 2"), "argument x for campaign run"),
-            ("campaign resume y --spec s --store t".into(), "argument y for campaign resume"),
-            (format!("{work} z"), "argument z for campaign work"),
-            ("certify s.jsonl t.jsonl --spec c.json".into(), "argument t.jsonl for certify"),
-            ("table1 extra".into(), "argument extra for table1"),
-            ("scenario --n 8 --k 3 w".into(), "argument w for scenario"),
-            ("replay --file f w".into(), "argument w for replay"),
-            ("bench-report --quick w".into(), "argument w for bench-report"),
-        ] {
-            assert_eq!(parse(&words(&line)), Err(err(format!("unknown {refused}"))), "{line}");
+            ("campaign shard --spec s --shards 2 stray-arg".into(), "unknown argument stray-arg for campaign shard"),
+            (format!("{report} extra"), "unknown argument extra for campaign report"),
+            (format!("{run} x --procs 2"), "unknown argument x for campaign run"),
+            ("campaign resume y --spec s --store t".into(), "unknown argument y for campaign resume"),
+            (format!("{work} z"), "unknown argument z for campaign work"),
+            ("certify s.jsonl t.jsonl --spec c.json".into(), "unknown argument t.jsonl for certify"),
+            ("table1 extra".into(), "unknown argument extra for table1"),
+            ("scenario --n 8 --k 3 w".into(), "unknown argument w for scenario"),
+            ("replay --file f w".into(), "unknown argument w for replay"),
+            ("bench-report --quick w".into(), "unknown argument w for bench-report"),
+            // A missing verb, flag or word, and a flag value out of range.
+            ("campaign".into(), "campaign requires a verb: run | resume | report | shard | work | merge | status"),
+            ("campaign frobnicate --spec s --store t".into(), "unknown campaign verb: frobnicate (expected run | resume | report | shard | work | merge | status)"),
+            ("campaign report --store t".into(), "campaign requires --spec FILE"),
+            ("campaign resume --spec s".into(), "campaign requires --store FILE"),
+            ("campaign shard --spec s".into(), "campaign shard requires --shards N"),
+            ("campaign work --spec s --index 0".into(), "campaign work requires --manifest FILE"),
+            ("campaign work --spec s --manifest m".into(), "campaign work requires --index I"),
+            ("campaign merge --spec s --store t".into(), "campaign merge needs --manifest FILE or shard STORE… paths"),
+            ("campaign status --json".into(), "campaign status requires at least one STORE path or --manifest FILE"),
+            ("metrics".into(), "metrics requires a verb: show | diff | top"),
+            ("metrics frob".into(), "unknown metrics verb: frob (expected show | diff | top)"),
+            ("metrics top --limit 3".into(), "metrics needs at least one events ledger path (<store>.events.jsonl)"),
+            ("metrics diff a".into(), "metrics diff needs exactly two ledger paths: LEDGER_A LEDGER_B"),
+            ("metrics diff a b c".into(), "metrics diff needs exactly two ledger paths: LEDGER_A LEDGER_B"),
+            ("capture --n 6 --k 1".into(), "capture requires --out FILE"),
+            ("capture --out f".into(), "capture requires --n and --k"),
+            ("scenario --n 8".into(), "scenario requires --n and --k"),
+            ("replay".into(), "replay requires --file FILE"),
+            ("certify --spec c.json".into(), "certify requires a store path: certify STORE --spec FILE"),
+            ("certify s.jsonl".into(), "certify requires --spec FILE"),
+            ("certify s.jsonl --spec c.json --level 3".into(), "--level must be 1 or 2, not 3"),
+            ("certify s.jsonl --spec c.json --sample 4".into(), "--sample/--seed are only valid with --level 2"),
+            // A zero count is refused by name.
+            (format!("{run} --procs 0"), "--procs must be at least 1"),
+            (format!("{run} --workers 0"), "--workers must be at least 1"),
+            ("campaign resume --spec s --store t --workers 0".into(), "--workers must be at least 1"),
+            (format!("{work} --workers 0"), "--workers must be at least 1"),
+            ("campaign shard --spec s --shards 0".into(), "--shards must be at least 1"),
+            ("certify s.jsonl --spec c.json --level 2 --sample 0".into(), "--sample must be at least 1"),
+            ("sweep-p --seeds 0".into(), "--seeds must be at least 1"),
+            ("scenario --n 0 --k 3".into(), "--n must be at least 1"),
+            ("scenario --n 8 --k 3 --horizon 0".into(), "--horizon must be at least 1"),
+            ("capture --out f --n 6 --k 1 --horizon 0".into(), "--horizon must be at least 1"),
+            ("coverage --horizon 0".into(), "--horizon must be at least 1"),
+            ("montecarlo --horizon 0".into(), "--horizon must be at least 1"),
+            ("sweep-p --horizon 0".into(), "--horizon must be at least 1"),
+            ("table1 --horizon 0".into(), "--horizon must be at least 1"),
+            // The supervisor's flags need --procs, first offender named.
+            (
+                "campaign run --spec examples/campaign_smoke.json --store s.jsonl --max-units 3 \
+                 --max-retries 9 --no-steal --progress --json --manifest zz.json --dir zzdir \
+                 --heartbeat-timeout-ms 5"
+                    .into(),
+                "--max-retries is only valid with --procs",
+            ),
+        ]
+        .into_iter()
+        .map(|(line, message)| (line, message.to_string()))
+        .collect();
+        for verb in ["run", "resume"] {
+            for flag in [
+                "--manifest m",
+                "--dir d",
+                "--max-retries 9",
+                "--backoff-ms 5",
+                "--heartbeat-timeout-ms 5",
+                "--no-steal",
+                "--steal-after-ms 5",
+                "--progress",
+                "--json",
+            ] {
+                let name = flag.split(' ').next().unwrap_or(flag);
+                table.push((
+                    format!("campaign {verb} --spec s --store t {flag}"),
+                    format!("{name} is only valid with --procs"),
+                ));
+            }
+        }
+        for (line, refused) in table {
+            assert_eq!(parse(&words(&line)), Err(err(refused)), "{line}");
         }
         // Each verb still takes its own flags, and the store/ledger lists
         // their positional arguments.
@@ -1574,6 +1711,7 @@ mod tests {
             "campaign merge --spec s --store t a --metrics-out m".into(),
             "campaign merge --spec s --store t a b c".into(),
             format!("{run} --procs 2 --no-steal --manifest m --dir d"),
+            "campaign resume --spec s --store t --procs 2 --progress --json --max-retries 0".into(),
             "metrics top l.jsonl --limit 3".into(),
             "metrics show a b c --json".into(),
             "metrics diff a b".into(),
@@ -1584,11 +1722,53 @@ mod tests {
     }
 
     #[test]
+    fn campaign_run_holds_a_supervisor_only_under_procs() {
+        let words = |line: &str| args(&line.split(' ').collect::<Vec<_>>());
+        let plain = CampaignRun {
+            fresh: true,
+            spec: "s".into(),
+            store: "t".into(),
+            workers: Some(2),
+            max_units: None,
+            metrics_out: None,
+            supervisor: None,
+        };
+        assert_eq!(
+            parse(&words("campaign run --spec s --store t --workers 2")),
+            Ok(Command::CampaignRun(plain.clone()))
+        );
+        let supervised = CampaignRun {
+            fresh: false,
+            supervisor: Some(Supervisor {
+                procs: 3,
+                manifest: None,
+                dir: None,
+                options: SuperviseOptions {
+                    max_retries: 3,
+                    backoff_ms: 250,
+                    heartbeat_timeout_ms: 30_000,
+                    steal: false,
+                    ..SuperviseOptions::default()
+                },
+            }),
+            ..plain
+        };
+        assert_eq!(
+            parse(&words("campaign resume --spec s --store t --workers 2 --procs 3 --no-steal")),
+            Ok(Command::CampaignRun(supervised))
+        );
+    }
+
+    #[test]
     fn every_accepted_flag_is_documented() {
-        for (command, flags) in FLAGS {
+        for syntax in COMMANDS {
+            let command = syntax.name;
             assert!(USAGE.contains(&format!("dynring {command}")), "{command}");
-            for flag in *flags {
-                assert!(USAGE.contains(&format!("--{flag}")), "--{flag} for {command}");
+            for flag in syntax.flags {
+                assert!(USAGE.contains(&format!("--{}", flag.name)), "--{} for {command}", flag.name);
+                if let Some(missing) = flag.missing {
+                    assert!(missing.contains(&format!("--{}", flag.name)), "{missing}");
+                }
             }
         }
     }
@@ -1929,12 +2109,6 @@ mod tests {
     }
 
     #[test]
-    fn capture_requires_out_and_replay_requires_file() {
-        assert!(parse(&args(&["capture", "--n", "6", "--k", "1"])).is_err());
-        assert!(parse(&args(&["replay"])).is_err());
-    }
-
-    #[test]
     fn running_a_small_scenario_through_the_cli_path() {
         let cmd = parse(&args(&[
             "scenario", "--n", "6", "--k", "3", "--dynamics", "static", "--horizon", "100",
@@ -1972,19 +2146,6 @@ mod tests {
                 seed: 9,
                 out: Some("v.json".into()),
             }
-        );
-    }
-
-    #[test]
-    fn certify_rejects_bad_levels_and_misplaced_sampling_flags() {
-        assert!(parse(&args(&["certify", "--spec", "c.json"])).is_err(), "store is required");
-        assert!(parse(&args(&["certify", "s.jsonl"])).is_err(), "spec is required");
-        assert!(
-            parse(&args(&["certify", "s.jsonl", "--spec", "c.json", "--level", "3"])).is_err()
-        );
-        assert!(
-            parse(&args(&["certify", "s.jsonl", "--spec", "c.json", "--sample", "4"])).is_err(),
-            "--sample without --level 2 must be rejected"
         );
     }
 }

@@ -127,12 +127,23 @@ fn cli_run_interrupt_resume_matches_the_pinned_report() {
 
 #[test]
 fn campaign_cli_rejects_malformed_invocations() {
-    assert!(cli::parse(&args(&["campaign"])).is_err());
-    assert!(cli::parse(&args(&["campaign", "frobnicate", "--spec", "s", "--store", "t"]))
-        .is_err());
-    assert!(cli::parse(&args(&["campaign", "run", "--spec", "s"])).is_err());
-    assert!(cli::parse(&args(&["campaign", "report", "--spec", "s", "--store", "t", "--max-units", "3"]))
-        .is_err());
-    assert!(cli::parse(&args(&["campaign", "run", "--spec", "s", "--store", "t", "--out", "o"]))
-        .is_err());
+    let refusal = |list: &[&str]| cli::parse(&args(list)).map_err(|e| e.to_string());
+    let verbs = "run | resume | report | shard | work | merge | status";
+    assert_eq!(refusal(&["campaign"]), Err(format!("campaign requires a verb: {verbs}")));
+    assert_eq!(
+        refusal(&["campaign", "frobnicate", "--spec", "s", "--store", "t"]),
+        Err(format!("unknown campaign verb: frobnicate (expected {verbs})"))
+    );
+    assert_eq!(
+        refusal(&["campaign", "run", "--spec", "s"]),
+        Err("campaign requires --store FILE".into())
+    );
+    assert_eq!(
+        refusal(&["campaign", "report", "--spec", "s", "--store", "t", "--max-units", "3"]),
+        Err("unknown flag --max-units for campaign report".into())
+    );
+    assert_eq!(
+        refusal(&["campaign", "run", "--spec", "s", "--store", "t", "--out", "o"]),
+        Err("unknown flag --out for campaign run".into())
+    );
 }
