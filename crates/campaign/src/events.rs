@@ -92,7 +92,9 @@ pub enum Event {
         /// Units in the wave.
         units: usize,
         /// Wall time of the wave in microseconds: from the previous
-        /// store fsync (or the start of execution) to this one.
+        /// store fsync (or the start of execution) to this one. At least
+        /// [`WAVE_INTERVAL`](crate::runner::WAVE_INTERVAL) for every
+        /// wave of a run but the last.
         wall_us: u64,
     },
     /// The invocation finished (cleanly or budget-capped).

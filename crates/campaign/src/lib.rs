@@ -112,7 +112,7 @@ pub use metrics::{
     coarse_rate, render_diff, render_summary, render_top, summarize, FaultSummary,
     LedgerSummary, MetricsGroup,
 };
-pub use runner::{load_report, run_campaign, RunOptions, RunOutcome};
+pub use runner::{load_report, run_campaign, RunOptions, RunOutcome, WAVE_INTERVAL};
 pub use shard::{
     shard_range, ShardEntry, ShardManifest, ShardSel, MANIFEST_SCHEMA, MANIFEST_SCHEMA_V1,
 };

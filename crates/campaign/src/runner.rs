@@ -7,12 +7,15 @@
 //! [`STREAM_WINDOW`](dynring_analysis::parallel::STREAM_WINDOW) units
 //! ahead of the last appended record. The calling thread is the
 //! committer: it puts results back in plan order, appends each record,
-//! and fsyncs after every `wave_size` records while the workers keep
-//! executing. An interruption therefore loses at most
-//! one wave of work, even across a power cut, and the store is always a
-//! plan-order prefix — the invariant behind byte-exact resume. Because
-//! unit execution and routing are pure functions of the unit, the store
-//! bytes are identical for every `workers` value.
+//! and closes a *wave* — one store fsync, one ledger fsync, one
+//! [`Event::Wave`] — at the first commit at least [`WAVE_INTERVAL`] after
+//! the last fsync, while the workers keep executing. A power cut
+//! therefore loses at most the records committed within one
+//! `WAVE_INTERVAL` after the last fsync (a killed process loses none:
+//! each record is its own `write`), and the store is always a plan-order
+//! prefix — the invariant behind byte-exact resume. Because unit
+//! execution and routing are pure functions of the unit, the store bytes
+//! are identical for every `workers` value.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -26,6 +29,15 @@ use crate::shard::ShardSel;
 use crate::spec::{CampaignSpec, PlannedUnit};
 use crate::store::{ResultStore, StoreHeader};
 use crate::CampaignError;
+
+/// How long committed records may go without an fsync. The committer
+/// closes a wave at the first commit at least this long after the last
+/// fsync (or the start of execution), and when the budget ends. A power
+/// cut loses at most the records committed in that time, which costs
+/// only their recomputation, and the fsync count follows wall time
+/// instead of the unit count. Shapes when the store is synced, never its
+/// bytes.
+pub const WAVE_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Knobs of one `run`/`resume` invocation.
 #[derive(Debug, Clone)]
@@ -232,12 +244,9 @@ pub fn run_campaign(
         planned: slice.len(),
         skipped,
     })?;
-    // Waves bound interruption loss: the committer fsyncs after every
-    // `wave_size` records, so a power cut loses at most one wave. The wave
-    // size only shapes latency, never bytes (records are appended in plan
-    // order either way).
+    // Waves bound power-cut loss in time (see `WAVE_INTERVAL`); records
+    // are appended in plan order either way.
     let workers = opts.workers.max(1);
-    let wave_size = (workers * 4).max(8);
     let slow = opts.slow_unit.as_ref();
     let mut executed = 0usize;
     let mut synced = 0usize;
@@ -261,7 +270,7 @@ pub fn run_campaign(
             sink.emit(unit_event(&record, wall))?;
             appender.append_record(record)?;
             executed += 1;
-            if executed - synced < wave_size && executed < budget {
+            if executed < budget && wave_start.elapsed() < WAVE_INTERVAL {
                 return Ok::<(), CampaignError>(());
             }
             appender.sync()?;

@@ -241,7 +241,7 @@ impl StoreVerifier {
                 self.records.push(record);
             }
             StoreLine::Chained(chained) => {
-                self.check_record(&chained.record.clone(), Some(&chained), &mut violations);
+                self.check_record(&chained.record, Some(&chained), &mut violations);
                 self.chained += 1;
                 self.records.push(chained.record);
             }
@@ -698,9 +698,11 @@ impl StoreAppender {
     }
 
     /// Flushes written records to disk (`fdatasync`). The runner's
-    /// committer calls this after every wave of records (`wave_size`
-    /// appends) while the workers keep executing later units, so an
-    /// interruption loses at most one wave even across a power cut.
+    /// committer calls this at the first commit at least
+    /// [`WAVE_INTERVAL`](crate::runner::WAVE_INTERVAL) after the last
+    /// fsync, while the workers keep executing later units, so a power
+    /// cut loses at most the records committed within one `WAVE_INTERVAL`
+    /// after the last fsync.
     ///
     /// # Errors
     ///

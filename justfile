@@ -49,6 +49,13 @@ batch-arity-smoke:
     cargo test -q -p dynring-core --test batch_equivalence
     cargo run --release -- montecarlo --n 16 --k 3 --p 0.5 --replicas 256 --horizon 2000 --seed 7
 
+# The campaign benchmark's correctness checks, not its timing bounds:
+# every workload for one second, and exit 0 only when every store
+# certifies and matches the workers-1 reference store's chain head and
+# bytes (see campaignbench/README.md).
+bench-check:
+    python3 campaignbench/run.py --workload all --seed 1 --seconds 1 --trace 0
+
 # Reproduce the paper's Table 1 from the CLI.
 table1:
     cargo run --release -- table1

@@ -5,8 +5,9 @@
 //! Hand-rolled argument parsing (no CLI dependency): the grammar is small
 //! and fixed. Each command declares its flags and its positional words
 //! once, in one table, and every refusal of a malformed command line (an
-//! unknown flag, a stray word, a missing flag, a flag without its value or
-//! without the flag it needs, a zero count) derives from that declaration.
+//! unknown flag, a stray word, a missing flag, a flag without its value,
+//! without the flag it needs or beside what it clashes with, a zero count)
+//! derives from that declaration.
 //! See `dynring --help` or [`USAGE`].
 
 use std::error::Error;
@@ -62,7 +63,8 @@ USAGE:
     dynring bench-report [--out FILE] [--quick] [--check SNAPSHOT]
     dynring --help
 
-SUPERVISOR FLAGS (campaign run/resume; each is refused without --procs):
+SUPERVISOR FLAGS (campaign run/resume; each is refused without --procs,
+and --max-units is refused with it):
     [--max-retries R] [--backoff-ms B] [--heartbeat-timeout-ms T] [--no-steal]
     [--steal-after-ms T] [--progress] [--json] [--manifest FILE] [--dir DIR]
 
@@ -422,6 +424,15 @@ enum Kind {
     Switch,
 }
 
+/// What a flag is refused beside.
+#[derive(Clone, Copy)]
+enum Clash {
+    /// Another flag, by name.
+    Flag(&'static str),
+    /// Any positional word; the text names what the words are.
+    Words(&'static str),
+}
+
 /// One flag a command reads.
 struct Flag {
     name: &'static str,
@@ -430,10 +441,12 @@ struct Flag {
     missing: Option<&'static str>,
     /// A flag this one is only valid with.
     needs: Option<&'static str>,
+    /// What this flag is not valid with.
+    clash: Option<Clash>,
 }
 
 const fn value(name: &'static str) -> Flag {
-    Flag { name, kind: Kind::Value, missing: None, needs: None }
+    Flag { name, kind: Kind::Value, missing: None, needs: None, clash: None }
 }
 
 const fn count(name: &'static str) -> Flag {
@@ -454,6 +467,16 @@ impl Flag {
     /// The flag is refused unless `--other` is given too.
     const fn only_with(self, other: &'static str) -> Flag {
         Flag { needs: Some(other), ..self }
+    }
+
+    /// The flag is refused when `--other` is given too.
+    const fn not_with(self, other: &'static str) -> Flag {
+        Flag { clash: Some(Clash::Flag(other)), ..self }
+    }
+
+    /// The flag is refused beside positional words, which `words` names.
+    const fn not_with_words(self, words: &'static str) -> Flag {
+        Flag { clash: Some(Clash::Words(words)), ..self }
     }
 }
 
@@ -486,9 +509,10 @@ const SPEC: Flag = value("spec").required("campaign requires --spec FILE");
 const STORE: Flag = value("store").required("campaign requires --store FILE");
 
 /// `campaign run` and `campaign resume`; the supervisor's flags need
-/// `--procs`.
+/// `--procs`, and the supervisor has no unit budget.
 const RUN_FLAGS: &[Flag] = &[
-    SPEC, STORE, count("workers"), value("max-units"), value("metrics-out"), count("procs"),
+    SPEC, STORE, count("workers"), value("max-units").not_with("procs"), value("metrics-out"),
+    count("procs"),
     value("max-retries").only_with("procs"), value("backoff-ms").only_with("procs"),
     value("heartbeat-timeout-ms").only_with("procs"), switch("no-steal").only_with("procs"),
     value("steal-after-ms").only_with("procs"), switch("progress").only_with("procs"),
@@ -526,6 +550,11 @@ const WORK_FLAGS: &[Flag] = &[
     SPEC, value("manifest").required("campaign work requires --manifest FILE"),
     value("index").required("campaign work requires --index I"), count("workers"),
     value("max-units"), value("metrics-out"),
+];
+
+/// `campaign merge` folds either a manifest's shards or the STORE… words.
+const MERGE_FLAGS: &[Flag] = &[
+    SPEC, STORE, value("manifest").not_with_words("shard STORE… paths"), value("metrics-out"),
 ];
 
 const CERTIFY_FLAGS: &[Flag] = &[
@@ -606,11 +635,11 @@ static COMMANDS: &[Syntax] = &[
             metrics_out: a.get("metrics-out")?,
         })
     }),
-    cmd("campaign merge", ANY, &[SPEC, STORE, value("manifest"), value("metrics-out")], |a| {
+    cmd("campaign merge", ANY, MERGE_FLAGS, |a| {
         let (spec, store) = (a.need("spec")?, a.need("store")?);
         let shards = match a.get("manifest")? {
-            _ if !a.words.is_empty() => MergeFrom::Stores(a.words()),
             Some(manifest) => MergeFrom::Manifest(manifest),
+            None if !a.words.is_empty() => MergeFrom::Stores(a.words()),
             None => return Err(err("campaign merge needs --manifest FILE or shard STORE… paths")),
         };
         Ok(Command::CampaignMerge { spec, store, shards, metrics_out: a.get("metrics-out")? })
@@ -653,8 +682,8 @@ struct Args<'a> {
 
 impl<'a> Args<'a> {
     /// Splits `tokens` by `syntax`, refusing an unknown flag, a value flag
-    /// without its value, a zero count, a stray word and a flag given
-    /// without the flag it needs.
+    /// without its value, a zero count, a stray word, and a flag given
+    /// without the flag it needs or beside what it clashes with.
     fn split(syntax: &'static Syntax, tokens: &'a [String]) -> Result<Self, CliError> {
         let mut args = Args { syntax, words: Vec::new(), flags: Vec::new() };
         let mut tokens = tokens.iter().map(String::as_str);
@@ -686,6 +715,12 @@ impl<'a> Args<'a> {
             if let Some(other) = flag.needs.filter(|other| !args.has(other)) {
                 return Err(err(format!("--{} is only valid with --{other}", flag.name)));
             }
+            let clash = match flag.clash {
+                Some(Clash::Flag(other)) if args.has(other) => format!("--{other}"),
+                Some(Clash::Words(words)) if !args.words.is_empty() => words.to_string(),
+                _ => continue,
+            };
+            return Err(err(format!("--{} is not valid with {clash}", flag.name)));
         }
         Ok(args)
     }
@@ -1591,7 +1626,8 @@ mod tests {
         // is wrong, never guessed at: a flag the command does not read
         // (mistyped, valid only for another command, or only for another
         // verb of this one), a stray word, a missing flag or word, a
-        // supervisor flag without --procs, a zero count.
+        // supervisor flag without --procs, a flag beside what it clashes
+        // with, a zero count.
         let words = |line: &str| args(&line.split(' ').collect::<Vec<_>>());
         let run = "campaign run --spec s --store t";
         let report = "campaign report --spec s --store t";
@@ -1652,6 +1688,15 @@ mod tests {
             ("certify s.jsonl".into(), "certify requires --spec FILE"),
             ("certify s.jsonl --spec c.json --level 3".into(), "--level must be 1 or 2, not 3"),
             ("certify s.jsonl --spec c.json --sample 4".into(), "--sample/--seed are only valid with --level 2"),
+            // A flag beside what it clashes with: the supervisor has no
+            // unit budget, and merge folds a manifest or STORE… words.
+            (format!("{run} --procs 2 --max-units 5"), "--max-units is not valid with --procs"),
+            ("campaign resume --spec s --store t --max-units 5 --procs 2".into(), "--max-units is not valid with --procs"),
+            (
+                "campaign merge --spec s --store m.jsonl --manifest does-not-exist.json b.jsonl".into(),
+                "--manifest is not valid with shard STORE… paths",
+            ),
+            ("campaign merge --spec s --store t a --manifest m".into(), "--manifest is not valid with shard STORE… paths"),
             // A zero count is refused by name.
             (format!("{run} --procs 0"), "--procs must be at least 1"),
             (format!("{run} --workers 0"), "--workers must be at least 1"),
@@ -1710,6 +1755,8 @@ mod tests {
             format!("{work} --workers 2 --max-units 3 --metrics-out m"),
             "campaign merge --spec s --store t a --metrics-out m".into(),
             "campaign merge --spec s --store t a b c".into(),
+            "campaign merge --spec s --store t --manifest m".into(),
+            format!("{run} --max-units 5 --workers 2"),
             format!("{run} --procs 2 --no-steal --manifest m --dir d"),
             "campaign resume --spec s --store t --procs 2 --progress --json --max-retries 0".into(),
             "metrics top l.jsonl --limit 3".into(),
