@@ -2,9 +2,10 @@
 //! a replay bundle.
 //!
 //! Level 1 is *structural*: the whole file is re-scanned and every line
-//! re-verified — header present and matching the plan, every record's
-//! content hash, digest and chain link recomputed, plan membership and
-//! ordering checked, the seal validated — without executing anything.
+//! re-verified — header present, every record's content hash, digest and
+//! chain link recomputed, ordering checked, the seal validated, and the
+//! header and records bound to the plan by the check every store reader
+//! shares — without executing anything.
 //! Level 2 adds *behavioral* spot-checks: a deterministic sample of
 //! units (seeded, both routes covered when both are present) is
 //! re-executed from scratch and the fresh measurements are compared
@@ -21,7 +22,7 @@ use dynring_analysis::seeds::sample_indices;
 
 use crate::executor::{execute_unit, route_unit};
 use crate::spec::{CampaignSpec, PlannedUnit};
-use crate::store::{ResultStore, ScanLine, StoreVerifier};
+use crate::store::{plan_violations, ResultStore, ScanLine, StoreVerifier};
 use crate::CampaignError;
 
 /// Knobs of one certification.
@@ -99,10 +100,6 @@ pub struct CertifyVerdict {
     pub spec_hash: String,
     /// Records in the store.
     pub records: usize,
-    /// Records carrying chain metadata.
-    pub chained: usize,
-    /// Legacy (unchained) records.
-    pub legacy: usize,
     /// Whether the store ends in a seal line.
     pub sealed: bool,
     /// Whether the file carried a torn trailing write.
@@ -163,50 +160,19 @@ pub fn certify(
             format!("torn:{}bytes", scan.torn_bytes),
         ));
     }
-    match &verifier.header {
-        None => failures.push(CertifyFailure::new(
+    if verifier.header.is_none() {
+        failures.push(CertifyFailure::new(
             "-",
             "header",
             "header-line".into(),
             "missing".into(),
-        )),
-        Some(header) => {
-            if header.spec_hash != plan.spec_hash {
-                failures.push(CertifyFailure::new(
-                    "-",
-                    "spec-hash",
-                    plan.spec_hash.clone(),
-                    header.spec_hash.clone(),
-                ));
-            }
-            if header.name != plan.name {
-                failures.push(CertifyFailure::new(
-                    "-",
-                    "name",
-                    plan.name.clone(),
-                    header.name.clone(),
-                ));
-            }
-            if header.planned_units != plan.units.len() {
-                failures.push(CertifyFailure::new(
-                    "-",
-                    "planned-units",
-                    plan.units.len().to_string(),
-                    header.planned_units.to_string(),
-                ));
-            }
-        }
+        ));
+    }
+    let header = verifier.header.as_ref();
+    for v in plan_violations(&plan, 0..plan.units.len(), header, &verifier.records) {
+        failures.push(CertifyFailure::new(&v.unit, v.reason, v.expected, v.got));
     }
     for record in &verifier.records {
-        let planned = plan.units.get(record.index);
-        if planned.map(|p| p.hash.as_str()) != Some(record.hash.as_str()) {
-            failures.push(CertifyFailure::new(
-                &record.hash,
-                "membership",
-                planned.map_or_else(|| "in-plan".to_string(), |p| p.hash.clone()),
-                record.hash.clone(),
-            ));
-        }
         let expected_route = route_unit(&record.unit).name();
         if record.route != expected_route {
             failures.push(CertifyFailure::new(
@@ -216,14 +182,6 @@ pub fn certify(
                 record.route.clone(),
             ));
         }
-    }
-    if verifier.legacy > 0 {
-        failures.push(CertifyFailure::new(
-            "-",
-            "chain",
-            "chained-records".into(),
-            format!("unchained:{}", verifier.legacy),
-        ));
     }
     if !verifier.sealed {
         failures.push(CertifyFailure::new(
@@ -291,8 +249,6 @@ pub fn certify(
         pass: failures.is_empty(),
         spec_hash: plan.spec_hash,
         records: verifier.records.len(),
-        chained: verifier.chained,
-        legacy: verifier.legacy,
         sealed: verifier.sealed,
         torn_tail: scan.torn_bytes > 0,
         chain_head: verifier.chain_head,
@@ -313,13 +269,11 @@ pub fn render_verdict(verdict: &CertifyVerdict) -> String {
     }
     let _ = writeln!(
         out,
-        "certify: {} level={} store={} records={} chained={} legacy={} sealed={} replayed={} failures={}",
+        "certify: {} level={} store={} records={} sealed={} replayed={} failures={}",
         if verdict.pass { "PASS" } else { "FAIL" },
         verdict.level,
         verdict.store,
         verdict.records,
-        verdict.chained,
-        verdict.legacy,
         verdict.sealed,
         verdict.replayed,
         verdict.failures.len(),
@@ -364,8 +318,6 @@ mod tests {
         assert!(v1.pass, "{:?}", v1.failures);
         assert!(v1.sealed);
         assert_eq!(v1.records, 8);
-        assert_eq!(v1.chained, 8);
-        assert_eq!(v1.legacy, 0);
         let v2 = certify(
             &spec,
             &store,

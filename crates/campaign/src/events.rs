@@ -25,14 +25,15 @@
 //! registry snapshot is therefore the same fold over the same events the
 //! ledger holds.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use dynring_obs::{labeled, names, Registry};
 use serde::{Deserialize, Serialize};
 
+use crate::store::{open_for_append, read_or_empty};
 use crate::CampaignError;
 
 /// Ledger schema tag (stamped on [`Event::RunStart`]); bump on
@@ -314,10 +315,7 @@ pub fn now_ms() -> u64 {
 pub struct LoadedLedger {
     /// Every parseable event, in file order.
     pub events: Vec<EventRecord>,
-    /// Bytes up to the end of the last parseable line (the truncation
-    /// point an appender would use).
-    pub valid_len: u64,
-    /// Bytes past `valid_len` (a torn trailing line; 0 when clean).
+    /// Bytes past the last newline (a torn trailing line; 0 when clean).
     pub torn_bytes: u64,
     /// Corrupt *interior* lines skipped (ledgers degrade, not refuse).
     pub skipped_lines: usize,
@@ -360,79 +358,43 @@ impl EventLedger {
     ///
     /// [`CampaignError::Io`] on filesystem trouble only.
     pub fn load(&self) -> Result<LoadedLedger, CampaignError> {
-        let mut bytes = Vec::new();
-        match File::open(&self.path) {
-            Ok(mut file) => {
-                file.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(LoadedLedger {
-                    events: Vec::new(),
-                    valid_len: 0,
-                    torn_bytes: 0,
-                    skipped_lines: 0,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        }
+        let bytes = read_or_empty(&self.path)?;
         let mut events = Vec::new();
-        let mut valid_len = 0u64;
         let mut skipped_lines = 0usize;
-        let mut offset = 0usize;
-        while offset < bytes.len() {
-            let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-                // Unterminated final line: torn mid-write.
-                break;
-            };
-            let parsed = std::str::from_utf8(&bytes[offset..offset + nl])
+        let mut rest = &bytes[..];
+        // An unterminated final line is torn mid-write and stays in `rest`.
+        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
+            let parsed = std::str::from_utf8(&rest[..nl])
                 .ok()
                 .and_then(|s| serde_json::from_str::<EventRecord>(s).ok());
             match parsed {
-                Some(record) => {
-                    events.push(record);
-                }
-                None => {
-                    // A terminated line that does not parse is damage,
-                    // not a tear: event lines never contain newlines, so
-                    // a torn write is always an *unterminated* prefix.
-                    // Skip it and keep reading.
-                    skipped_lines += 1;
-                }
+                Some(record) => events.push(record),
+                // A terminated line that does not parse is damage, not a
+                // tear: event lines never contain newlines, so a torn
+                // write is always an *unterminated* prefix. Skip it and
+                // keep reading.
+                None => skipped_lines += 1,
             }
-            offset += nl + 1;
-            valid_len = offset as u64;
+            rest = &rest[nl + 1..];
         }
-        Ok(LoadedLedger {
-            events,
-            valid_len,
-            torn_bytes: bytes.len() as u64 - valid_len,
-            skipped_lines,
-        })
+        Ok(LoadedLedger { events, torn_bytes: rest.len() as u64, skipped_lines })
     }
 
-    /// Opens the ledger for appending, truncating any torn tail first
-    /// (mirroring [`crate::ResultStore::open_for_append`]) and
-    /// recording the truncation itself as an [`Event::TornTail`].
+    /// Opens the ledger for appending just past its last newline,
+    /// truncating any torn tail first the way the store does, and
+    /// recording the truncation itself as an [`Event::TornTail`]. Parses
+    /// nothing: the lines before the tail are kept as they are.
     ///
     /// # Errors
     ///
     /// [`CampaignError::Io`].
     pub fn appender(&self) -> Result<LedgerAppender, CampaignError> {
-        let loaded = self.load()?;
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(&self.path)?;
-        let on_disk = file.metadata()?.len();
-        file.set_len(loaded.valid_len)?;
-        if on_disk != loaded.valid_len {
-            file.sync_all()?;
-        }
-        file.seek(SeekFrom::End(0))?;
+        let bytes = read_or_empty(&self.path)?;
+        let valid_len = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+        let file = open_for_append(&self.path, valid_len as u64)?;
         let mut appender = LedgerAppender { file };
-        if loaded.torn_bytes > 0 {
-            appender.append(Event::TornTail { bytes: loaded.torn_bytes })?;
+        if bytes.len() > valid_len {
+            appender.append(Event::TornTail { bytes: (bytes.len() - valid_len) as u64 })?;
         }
         Ok(appender)
     }
@@ -480,6 +442,7 @@ impl LedgerAppender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
 
     fn temp(name: &str) -> EventLedger {
         let path = std::env::temp_dir().join(format!("dynring_events_test_{name}.jsonl"));

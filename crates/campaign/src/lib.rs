@@ -113,9 +113,7 @@ pub use metrics::{
     LedgerSummary, MetricsGroup,
 };
 pub use runner::{load_report, run_campaign, RunOptions, RunOutcome, WAVE_INTERVAL};
-pub use shard::{
-    shard_range, ShardEntry, ShardManifest, ShardSel, MANIFEST_SCHEMA, MANIFEST_SCHEMA_V1,
-};
+pub use shard::{shard_range, ShardEntry, ShardManifest, ShardSel, MANIFEST_SCHEMA};
 pub use supervise::{
     render_progress, shard_progress, supervise, ShardFailure, ShardProgress,
     SuperviseOptions, SuperviseOutcome,

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 
 use crate::shard::ShardManifest;
 use crate::spec::CampaignSpec;
-use crate::store::{ResultStore, StoreHeader};
+use crate::store::{plan_violations, ResultStore, StoreHeader};
 use crate::CampaignError;
 
 /// What a merge produced.
@@ -74,8 +74,7 @@ fn merge_impl(
     out: &ResultStore,
 ) -> Result<MergeOutcome, CampaignError> {
     let plan = spec.plan()?;
-    let existing = out.load()?;
-    if existing.header.is_some() || !existing.records.is_empty() {
+    if out.load()?.header.is_some() {
         return Err(CampaignError::StoreExists(out.path().display().to_string()));
     }
 
@@ -115,49 +114,15 @@ fn merge_impl(
     for (slot, store) in shards.iter().enumerate() {
         let loaded = store.load()?;
         let path = store.path().display().to_string();
-        if let Some(header) = &loaded.header {
-            if header.spec_hash != plan.spec_hash {
-                return Err(conflict(format!(
-                    "reason=spec-mismatch expected={} got={} store={path}",
-                    plan.spec_hash, header.spec_hash
-                )));
-            }
-            if header.name != plan.name || header.planned_units != plan.units.len() {
-                return Err(conflict(format!(
-                    "reason=plan-mismatch expected={}/{} got={}/{} store={path}",
-                    plan.name,
-                    plan.units.len(),
-                    header.name,
-                    header.planned_units
-                )));
-            }
-        } else if !loaded.records.is_empty() {
-            return Err(CampaignError::CorruptStore(format!(
-                "{path}: records without a header"
-            )));
-        }
-        let range = expected.map(|ranges| {
-            let (index, start, units) = ranges[slot];
-            (index, start..start + units)
+        let owned = expected.map_or(0..plan.units.len(), |ranges| {
+            let (_, start, units) = ranges[slot];
+            start..start + units
         });
+        let header = loaded.header.as_ref();
+        if let Some(v) = plan_violations(&plan, owned, header, &loaded.records).first() {
+            return Err(conflict(format!("{} store={path}", v.render())));
+        }
         for record in loaded.records {
-            if plan.units.get(record.index).map(|p| p.hash.as_str())
-                != Some(record.hash.as_str())
-            {
-                return Err(conflict(format!(
-                    "reason=foreign-unit unit={} index={} store={path}",
-                    record.hash, record.index
-                )));
-            }
-            if let Some((shard, range)) = &range {
-                if !range.contains(&record.index) {
-                    return Err(conflict(format!(
-                        "reason=shard-membership shard={shard} unit={} index={} \
-                         expected={}..{} store={path}",
-                        record.hash, record.index, range.start, range.end
-                    )));
-                }
-            }
             let index = record.index;
             if let Some((_, other)) = by_index.get(&index) {
                 return Err(conflict(format!(

@@ -417,7 +417,7 @@ mod tests {
     }
 
     fn ledger(events: Vec<EventRecord>) -> LoadedLedger {
-        LoadedLedger { events, valid_len: 0, torn_bytes: 0, skipped_lines: 0 }
+        LoadedLedger { events, torn_bytes: 0, skipped_lines: 0 }
     }
 
     #[test]

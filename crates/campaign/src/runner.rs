@@ -27,7 +27,7 @@ use crate::executor::{execute_unit, route_unit, UnitRecord};
 use crate::fault::FailPlan;
 use crate::shard::ShardSel;
 use crate::spec::{CampaignSpec, PlannedUnit};
-use crate::store::{ResultStore, StoreHeader};
+use crate::store::{check_plan, ResultStore, StoreHeader};
 use crate::CampaignError;
 
 /// How long committed records may go without an fsync. The committer
@@ -130,8 +130,11 @@ impl RunOutcome {
 /// - [`CampaignError::SpecMismatch`] when the store belongs to a
 ///   different spec;
 /// - [`CampaignError::CorruptStore`] / [`CampaignError::Io`] on store
-///   damage; [`CampaignError::Scenario`] when a unit is ill-formed (the
-///   first failing unit by plan order, matching serial execution).
+///   damage, and `CorruptStore` when the header names another campaign
+///   or unit count, or a record is not the plan's unit at its index or
+///   lies outside the shard's range; [`CampaignError::Scenario`] when a
+///   unit is ill-formed (the first failing unit by plan order, matching
+///   serial execution).
 pub fn run_campaign(
     spec: &CampaignSpec,
     store: &ResultStore,
@@ -139,69 +142,23 @@ pub fn run_campaign(
 ) -> Result<RunOutcome, CampaignError> {
     let plan = spec.plan()?;
     let loaded = store.load()?;
-    if opts.fresh && (loaded.header.is_some() || !loaded.records.is_empty()) {
-        return Err(CampaignError::StoreExists(
-            store.path().display().to_string(),
-        ));
-    }
-    if let Some(header) = &loaded.header {
-        if header.spec_hash != plan.spec_hash {
-            return Err(CampaignError::SpecMismatch {
-                expected: plan.spec_hash.clone(),
-                found: header.spec_hash.clone(),
-            });
-        }
-        if header.name != plan.name || header.planned_units != plan.units.len() {
-            return Err(CampaignError::CorruptStore(format!(
-                "{}: header names campaign {}/{} units, the plan is {}/{} units",
-                store.path().display(),
-                header.name,
-                header.planned_units,
-                plan.name,
-                plan.units.len()
-            )));
-        }
-    } else if !loaded.records.is_empty() {
-        return Err(CampaignError::CorruptStore(format!(
-            "{}: records without a header",
-            store.path().display()
-        )));
+    let path = store.path().display().to_string();
+    if opts.fresh && loaded.header.is_some() {
+        return Err(CampaignError::StoreExists(path));
     }
     // Restrict to one shard's slice of the plan when asked. Everything
     // else — header, record shape, chaining — is unchanged, so a shard
     // store is just a normal store whose records happen to be one
     // contiguous plan range.
-    let shard_range = match &opts.shard {
+    let owned = match &opts.shard {
         Some(sel) => {
             sel.validate(plan.units.len())?;
             sel.range(plan.units.len())
         }
         None => 0..plan.units.len(),
     };
-    let slice = &plan.units[shard_range.clone()];
-    // Plan membership: a record must sit at its own plan index. The spec
-    // hash already binds the store to the spec, but this also rejects a
-    // record *transplanted* from another store of the same spec family.
-    for record in &loaded.records {
-        let planned = plan.units.get(record.index);
-        if planned.map(|p| p.hash.as_str()) != Some(record.hash.as_str()) {
-            return Err(CampaignError::CorruptStore(format!(
-                "{}: record {} (unit {}) is not the plan's unit at that index",
-                store.path().display(),
-                record.index,
-                record.hash
-            )));
-        }
-        if opts.shard.is_some() && !shard_range.contains(&record.index) {
-            return Err(CampaignError::CorruptStore(format!(
-                "{}: record {} is outside this shard's range {}..{}",
-                store.path().display(),
-                record.index,
-                shard_range.start,
-                shard_range.end
-            )));
-        }
-    }
+    check_plan(&plan, owned.clone(), loaded.header.as_ref(), &loaded.records, &path)?;
+    let slice = &plan.units[owned];
     let completed = loaded.completed_hashes();
     let pending: Vec<&PlannedUnit> = slice
         .iter()
@@ -209,8 +166,7 @@ pub fn run_campaign(
         .collect();
     if loaded.sealed && !pending.is_empty() {
         return Err(CampaignError::CorruptStore(format!(
-            "{}: sealed store is missing {} planned units",
-            store.path().display(),
+            "{path}: sealed store is missing {} planned units",
             pending.len()
         )));
     }
@@ -290,9 +246,8 @@ pub fn run_campaign(
         )));
     }
     // Seal on completion. A complete-but-unsealed store (a run
-    // interrupted between its last record and the seal, or a legacy v1
-    // store) gets sealed by the resume that finds it complete; a sealed
-    // resume is a pure no-op.
+    // interrupted between its last record and the seal) gets sealed by
+    // the resume that finds it complete; a sealed resume is a pure no-op.
     if executed == pending.len() && !loaded.sealed {
         appender.seal()?;
         appender.sync()?;
@@ -340,21 +295,23 @@ fn unit_event(record: &UnitRecord, wall: Duration) -> Event {
 ///
 /// # Errors
 ///
-/// See [`run_campaign`] (planning and store errors; nothing is executed).
+/// See [`run_campaign`] (planning and store errors; nothing is executed),
+/// and [`CampaignError::CorruptStore`] naming the path when the store has
+/// no header (a missing or empty file).
 pub fn load_report(
     spec: &CampaignSpec,
     store: &ResultStore,
 ) -> Result<crate::CampaignReport, CampaignError> {
     let plan = spec.plan()?;
     let loaded = store.load()?;
-    if let Some(header) = &loaded.header {
-        if header.spec_hash != plan.spec_hash {
-            return Err(CampaignError::SpecMismatch {
-                expected: plan.spec_hash.clone(),
-                found: header.spec_hash.clone(),
-            });
-        }
+    let path = store.path().display().to_string();
+    if loaded.header.is_none() {
+        return Err(CampaignError::CorruptStore(format!(
+            "{path} has no store header (a missing or empty file; start it with \
+             `campaign run`)"
+        )));
     }
+    check_plan(&plan, 0..plan.units.len(), loaded.header.as_ref(), &loaded.records, &path)?;
     let mut report = crate::aggregate::aggregate(&plan, &loaded.records);
     report.torn_tail = loaded.torn_tail;
     report.torn_bytes = loaded.torn_bytes;

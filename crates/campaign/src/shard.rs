@@ -18,15 +18,15 @@
 //! Manifest writes are atomic (temp file + fsync + rename), so a crash
 //! mid-update can never leave a torn manifest wedging the campaign.
 //!
-//! Schema v2 adds *generations*: when the supervisor steals a
+//! Manifests carry *generations*: when the supervisor steals a
 //! quarantined or straggling shard's remaining range
 //! ([`ShardManifest::split_entry`]), the parent entry is retired with its
 //! range truncated to what its store actually holds, and child entries
-//! of the next generation are appended covering the rest. The entries of
-//! a v2 manifest therefore form an arbitrary exact partition of the plan
-//! (validated as such) instead of the canonical balanced one — but they
-//! are still disjoint and complete, so the merge story is unchanged. v1
-//! manifests (always canonical) still load.
+//! of the next generation are appended covering the rest. The entries
+//! therefore form an arbitrary exact partition of the plan (validated as
+//! such) instead of the canonical balanced one — but they are still
+//! disjoint and complete, so the merge story is unchanged. A manifest of
+//! any other schema, v1 included, is refused by name.
 
 use std::fs::File;
 use std::io::Write;
@@ -36,14 +36,11 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::spec::CampaignPlan;
+use crate::store::{check_plan, StoreHeader};
 use crate::CampaignError;
 
 /// The manifest schema generation (bumped on shape changes).
 pub const MANIFEST_SCHEMA: &str = "dynring-shard-manifest-v2";
-
-/// The previous manifest schema (canonical balanced partitions only);
-/// still accepted by [`ShardManifest::load`].
-pub const MANIFEST_SCHEMA_V1: &str = "dynring-shard-manifest-v1";
 
 /// Which slice of the plan a run executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +120,7 @@ pub fn shard_range(total: usize, count: usize, index: usize) -> Range<usize> {
 }
 
 /// One shard's slot in the manifest.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardEntry {
     /// 0-based shard index.
     pub index: usize,
@@ -138,7 +135,7 @@ pub struct ShardEntry {
     /// supervisor resumed after a crash sees the true retry history.
     pub attempts: usize,
     /// Split generation: 0 for the original shards, parent's generation
-    /// + 1 for sub-shards created by a steal. (v1 manifests: always 0.)
+    /// + 1 for sub-shards created by a steal.
     pub generation: usize,
     /// The entry this sub-shard was split from (`None` for the original
     /// shards).
@@ -148,39 +145,6 @@ pub struct ShardEntry {
     /// the plan-order prefix its store actually holds. The store stays
     /// in place — the merge folds it together with the children.
     pub retired: bool,
-}
-
-// Hand-written so the v2-only fields default when absent: v1 manifests
-// predate them, and the vendored serde derive has no `#[serde(default)]`
-// (a missing field deserializes from `Null`, which only `Option` takes).
-impl<'de> serde::Deserialize<'de> for ShardEntry {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error as _;
-        use serde::__private::take_field;
-        let mut obj = match deserializer.deserialize_value()? {
-            serde::Value::Object(entries) => entries,
-            other => {
-                return Err(D::Error::custom(format!(
-                    "expected object for ShardEntry, found {}",
-                    other.kind()
-                )))
-            }
-        };
-        Ok(ShardEntry {
-            index: take_field(&mut obj, "index").map_err(D::Error::custom)?,
-            store: take_field(&mut obj, "store").map_err(D::Error::custom)?,
-            start: take_field(&mut obj, "start").map_err(D::Error::custom)?,
-            units: take_field(&mut obj, "units").map_err(D::Error::custom)?,
-            attempts: take_field(&mut obj, "attempts").map_err(D::Error::custom)?,
-            generation: take_field::<Option<usize>>(&mut obj, "generation")
-                .map_err(D::Error::custom)?
-                .unwrap_or(0),
-            parent: take_field(&mut obj, "parent").map_err(D::Error::custom)?,
-            retired: take_field::<Option<bool>>(&mut obj, "retired")
-                .map_err(D::Error::custom)?
-                .unwrap_or(false),
-        })
-    }
 }
 
 impl ShardEntry {
@@ -243,10 +207,8 @@ impl ShardManifest {
         }
     }
 
-    /// Checks internal consistency. A v1 manifest must be the canonical
-    /// balanced partition — every range equal to the [`shard_range`]
-    /// recomputation. A v2 manifest (which may carry steal generations)
-    /// must instead be an *exact partition*: entries indexed in order,
+    /// Checks internal consistency: the schema is [`MANIFEST_SCHEMA`],
+    /// and the entries are an *exact partition* — indexed in order,
     /// non-empty ranges disjoint and covering `0..planned_units` with no
     /// gap, generation/parent links consistent, and only retired entries
     /// allowed to be empty.
@@ -255,26 +217,10 @@ impl ShardManifest {
     ///
     /// [`CampaignError::CorruptStore`] naming the inconsistency.
     pub fn validate(&self) -> Result<(), CampaignError> {
-        let v1 = match self.schema.as_str() {
-            s if s == MANIFEST_SCHEMA => false,
-            s if s == MANIFEST_SCHEMA_V1 => true,
-            other => {
-                return Err(CampaignError::CorruptStore(format!(
-                    "shard manifest schema {other} is neither {MANIFEST_SCHEMA} \
-                     nor {MANIFEST_SCHEMA_V1}"
-                )));
-            }
-        };
+        check_schema(&self.schema)?;
         if self.entries.len() < self.shards {
             return Err(CampaignError::CorruptStore(format!(
                 "shard manifest names {} shards but carries {} entries",
-                self.shards,
-                self.entries.len()
-            )));
-        }
-        if v1 && self.entries.len() != self.shards {
-            return Err(CampaignError::CorruptStore(format!(
-                "v1 shard manifest names {} shards but carries {} entries",
                 self.shards,
                 self.entries.len()
             )));
@@ -286,21 +232,6 @@ impl ShardManifest {
                     entry.index
                 )));
             }
-            if v1 {
-                let range = shard_range(self.planned_units, self.shards, i);
-                if entry.start != range.start || entry.units != range.len() {
-                    return Err(CampaignError::CorruptStore(format!(
-                        "shard manifest entry {i} does not match the canonical \
-                         partition (start {}, {} units; expected start {}, {} units)",
-                        entry.start,
-                        entry.units,
-                        range.start,
-                        range.len()
-                    )));
-                }
-                continue;
-            }
-            // v2 structural checks per entry.
             if (i < self.shards) != entry.parent.is_none() {
                 return Err(CampaignError::CorruptStore(format!(
                     "shard manifest entry {i}: original shards carry no parent, \
@@ -333,33 +264,31 @@ impl ShardManifest {
                 )));
             }
         }
-        if !v1 {
-            // The non-empty ranges must partition 0..planned_units exactly.
-            let mut ranges: Vec<Range<usize>> = self
-                .entries
-                .iter()
-                .filter(|e| e.units > 0)
-                .map(ShardEntry::range)
-                .collect();
-            ranges.sort_by_key(|r| r.start);
-            let mut next = 0usize;
-            for range in &ranges {
-                if range.start != next {
-                    let reason = if range.start > next { "gap" } else { "overlap" };
-                    return Err(CampaignError::CorruptStore(format!(
-                        "shard manifest ranges have a {reason} at unit {next} \
-                         (next range starts at {})",
-                        range.start
-                    )));
-                }
-                next = range.end;
-            }
-            if next != self.planned_units {
+        // The non-empty ranges must partition 0..planned_units exactly.
+        let mut ranges: Vec<Range<usize>> = self
+            .entries
+            .iter()
+            .filter(|e| e.units > 0)
+            .map(ShardEntry::range)
+            .collect();
+        ranges.sort_by_key(|r| r.start);
+        let mut next = 0usize;
+        for range in &ranges {
+            if range.start != next {
+                let reason = if range.start > next { "gap" } else { "overlap" };
                 return Err(CampaignError::CorruptStore(format!(
-                    "shard manifest ranges cover {next} of {} planned units",
-                    self.planned_units
+                    "shard manifest ranges have a {reason} at unit {next} \
+                     (next range starts at {})",
+                    range.start
                 )));
             }
+            next = range.end;
+        }
+        if next != self.planned_units {
+            return Err(CampaignError::CorruptStore(format!(
+                "shard manifest ranges cover {next} of {} planned units",
+                self.planned_units
+            )));
         }
         Ok(())
     }
@@ -378,8 +307,7 @@ impl ShardManifest {
     /// `units = done`, and children are appended covering
     /// `[start+done, start+units)` as a balanced sub-partition, with
     /// stores named `<store stem>-g<generation>-<k>.jsonl` next to the
-    /// parent store. The schema is promoted to v2. Returns the child
-    /// entry indices. The caller must [`ShardManifest::write`] before
+    /// parent store. Returns the child entry indices. The caller must [`ShardManifest::write`] before
     /// acting on the split.
     ///
     /// # Errors
@@ -442,33 +370,23 @@ impl ShardManifest {
         let e = &mut self.entries[parent];
         e.units = done;
         e.retired = true;
-        self.schema = MANIFEST_SCHEMA.to_string();
         Ok(children)
     }
 
-    /// Checks the manifest belongs to `plan`.
+    /// Checks the manifest belongs to `plan`: the same spec hash, campaign
+    /// name and unit count a store header is checked by.
     ///
     /// # Errors
     ///
     /// [`CampaignError::SpecMismatch`] on a foreign spec,
     /// [`CampaignError::CorruptStore`] on a name/size drift.
     pub fn matches(&self, plan: &CampaignPlan) -> Result<(), CampaignError> {
-        if self.spec_hash != plan.spec_hash {
-            return Err(CampaignError::SpecMismatch {
-                expected: plan.spec_hash.clone(),
-                found: self.spec_hash.clone(),
-            });
-        }
-        if self.name != plan.name || self.planned_units != plan.units.len() {
-            return Err(CampaignError::CorruptStore(format!(
-                "shard manifest names campaign {}/{} units, the plan is {}/{} units",
-                self.name,
-                self.planned_units,
-                plan.name,
-                plan.units.len()
-            )));
-        }
-        Ok(())
+        let header = StoreHeader {
+            name: self.name.clone(),
+            spec_hash: self.spec_hash.clone(),
+            planned_units: self.planned_units,
+        };
+        check_plan(plan, 0..plan.units.len(), Some(&header), &[], "shard manifest")
     }
 
     /// The entry of shard `index`.
@@ -515,11 +433,28 @@ impl ShardManifest {
     /// [`CampaignError::Io`] / [`CampaignError::Json`] /
     /// [`CampaignError::CorruptStore`] (see [`ShardManifest::validate`]).
     pub fn load(path: &Path) -> Result<Self, CampaignError> {
+        /// The schema alone, read first: a manifest of another schema is
+        /// refused by name, not by the first field it lacks.
+        #[derive(Deserialize)]
+        struct Schema {
+            schema: String,
+        }
         let json = std::fs::read_to_string(path)?;
+        check_schema(&serde_json::from_str::<Schema>(&json)?.schema)?;
         let manifest: ShardManifest = serde_json::from_str(&json)?;
         manifest.validate()?;
         Ok(manifest)
     }
+}
+
+/// Refuses every manifest schema but [`MANIFEST_SCHEMA`], naming it.
+fn check_schema(schema: &str) -> Result<(), CampaignError> {
+    if schema == MANIFEST_SCHEMA {
+        return Ok(());
+    }
+    Err(CampaignError::CorruptStore(format!(
+        "shard manifest schema {schema} is not {MANIFEST_SCHEMA}"
+    )))
 }
 
 #[cfg(test)]
@@ -614,35 +549,36 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifests_still_load_and_demand_the_canonical_partition() {
+    fn v1_manifests_are_refused_and_any_exact_partition_validates() {
         let plan = plan();
-        let mut manifest = ShardManifest::build(&plan, 2, Path::new("/tmp"));
-        manifest.schema = MANIFEST_SCHEMA_V1.to_string();
-        let json = serde_json::to_string(&manifest).expect("serializes");
-        // Strip the v2-only fields textually: a real v1 file never wrote
-        // them, and the serde defaults must fill them back in on load.
-        let v1_json = json.replace(",\"generation\":0,\"parent\":null,\"retired\":false", "");
-        assert!(
-            !v1_json.contains("generation") && v1_json != json,
-            "v2-only fields must be stripped: {v1_json}"
-        );
         let dir = std::env::temp_dir().join("dynring_shard_manifest_v1_test");
         let _ = std::fs::create_dir_all(&dir);
+        let manifest = ShardManifest::build(&plan, 2, &dir);
+        // A v1 file never wrote the re-sharding fields: it is refused by
+        // its schema, not by the first field it lacks.
+        let v1_json = serde_json::to_string(&manifest)
+            .expect("serializes")
+            .replace(MANIFEST_SCHEMA, "dynring-shard-manifest-v1")
+            .replace(",\"generation\":0,\"parent\":null,\"retired\":false", "");
+        assert!(!v1_json.contains("generation"), "v2-only fields must be stripped: {v1_json}");
         let path = dir.join("manifest-v1.json");
         std::fs::write(&path, v1_json).expect("writes");
-        let loaded = ShardManifest::load(&path).expect("v1 loads");
-        assert_eq!(loaded.entries, manifest.entries);
+        let err = ShardManifest::load(&path).expect_err("v1 is refused");
+        assert!(
+            err.to_string().contains("schema dynring-shard-manifest-v1 is not"),
+            "{err}"
+        );
+        let _ = std::fs::remove_file(&path);
 
-        // v1 is strictly canonical: a non-canonical (but exact) partition
-        // that v2 would accept is refused under the v1 schema.
+        // Any exact partition validates, canonical or not, under the one
+        // schema there is.
         let mut bent = manifest.clone();
         bent.entries[0].units += 1;
         bent.entries[1].start += 1;
         bent.entries[1].units -= 1;
+        bent.validate().expect("any exact partition validates");
+        bent.schema = "dynring-shard-manifest-v1".into();
         assert!(bent.validate().is_err());
-        bent.schema = MANIFEST_SCHEMA.to_string();
-        bent.validate().expect("v2 accepts any exact partition");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //! uninterrupted one, so `resume` — which appends exactly the missing
 //! units, in plan order — reproduces the uninterrupted file bit for bit.
 //!
-//! Since store schema v2 every appended record is a
-//! [`crate::trace::ChainedRecord`]: the unit record plus its result
-//! digest and a hash-chain link committing it to the whole prefix, and a
-//! completed store ends in a sealed [`StoreFooter`] line. Legacy v1
-//! stores (bare `Unit` lines, no footer) still load; they simply cannot
-//! be chain-certified.
+//! Every record is a [`crate::trace::ChainedRecord`] (store schema v2):
+//! the unit record plus its result digest and a hash-chain link
+//! committing it to the whole prefix, and a completed store ends in a
+//! sealed [`StoreFooter`] line. A v1 line (a bare `Unit` record) does not
+//! parse, so a v1 store is refused like any other unparseable file.
 //!
 //! Loading is crash-tolerant but corruption-strict: a trailing partial
 //! (or unparseable) line — the write an interruption cut short — is
@@ -20,13 +19,14 @@
 //! damage *before* the tail (an unparseable interior line, a broken
 //! chain link, a duplicated or reordered record, a forged seal) refuses
 //! with one greppable `STORE-CORRUPT line=… offset=… reason=…`
-//! diagnostic. Records whose hash is not in the current plan are
-//! rejected via the header's spec hash — a store belongs to exactly one
-//! spec.
+//! diagnostic. Whether a store belongs to a plan — its spec, campaign
+//! and size, and each record's place in the plan — is one check that
+//! every reader shares: a store belongs to exactly one spec.
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use dynring_obs::names as obs_names;
@@ -34,6 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::executor::UnitRecord;
 use crate::fault::{FailPlan, FaultKind};
+use crate::spec::CampaignPlan;
 use crate::trace::{chain_seed, chain_step, result_digest, ChainedRecord, StoreFooter, STORE_SCHEMA};
 use crate::CampaignError;
 
@@ -54,11 +55,9 @@ pub struct StoreHeader {
 pub enum StoreLine {
     /// The header (first line).
     Header(StoreHeader),
-    /// A completed unit without chain metadata (legacy v1 stores).
-    Unit(UnitRecord),
-    /// A completed unit with its digest and chain link (schema v2).
+    /// A completed unit with its digest and chain link.
     Chained(ChainedRecord),
-    /// The sealed footer of a completed campaign (schema v2).
+    /// The sealed footer of a completed campaign.
     Seal(StoreFooter),
 }
 
@@ -67,7 +66,6 @@ impl StoreLine {
     fn describe(&self) -> &'static str {
         match self {
             StoreLine::Header(_) => "header",
-            StoreLine::Unit(_) => "record",
             StoreLine::Chained(_) => "record",
             StoreLine::Seal(_) => "seal",
         }
@@ -89,12 +87,8 @@ pub struct LoadedStore {
     /// How many bytes past `valid_len` the file carried.
     pub torn_bytes: u64,
     /// The chain head over the loaded lines: the header's seed advanced
-    /// by every chained record. `None` for headerless (empty) stores.
+    /// by every record. `None` for headerless (empty) stores.
     pub chain_head: Option<String>,
-    /// Records that carried chain metadata.
-    pub chained: usize,
-    /// Legacy records without chain metadata (v1 stores).
-    pub legacy: usize,
     /// Whether the store ends in a verified seal.
     pub sealed: bool,
 }
@@ -161,6 +155,88 @@ impl Violation {
     fn new(unit: &str, reason: &'static str, expected: String, got: String) -> Self {
         Violation { unit: unit.to_string(), reason, expected, got }
     }
+
+    /// `reason=… unit=… expected=… got=…`, the form merge and the runner
+    /// print.
+    pub(crate) fn render(&self) -> String {
+        format!(
+            "reason={} unit={} expected={} got={}",
+            self.reason, self.unit, self.expected, self.got
+        )
+    }
+}
+
+/// Whether a store's `header` and `records` belong to `plan`, for a store
+/// that may hold only the plan units in `owned`: the one binding check of
+/// every reader (run and resume, report, merge, certify and the shard
+/// manifest), in merge's tokens:
+///
+/// - `spec-mismatch`: the header names another spec. Reported alone,
+///   because a store of another spec holds no record of this plan;
+/// - `plan-mismatch`: the header names another campaign or unit count;
+/// - `foreign-unit`: a record is not the plan's unit at its index;
+/// - `shard-membership`: a record lies outside `owned`.
+///
+/// Without a header only the records are checked.
+pub(crate) fn plan_violations(
+    plan: &CampaignPlan,
+    owned: Range<usize>,
+    header: Option<&StoreHeader>,
+    records: &[UnitRecord],
+) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    if let Some(header) = header {
+        if header.spec_hash != plan.spec_hash {
+            let (expected, got) = (plan.spec_hash.clone(), header.spec_hash.clone());
+            return vec![Violation::new("-", "spec-mismatch", expected, got)];
+        }
+        if header.name != plan.name || header.planned_units != plan.units.len() {
+            violations.push(Violation::new(
+                "-",
+                "plan-mismatch",
+                format!("{}/{}", plan.name, plan.units.len()),
+                format!("{}/{}", header.name, header.planned_units),
+            ));
+        }
+    }
+    for record in records {
+        let planned = plan.units.get(record.index).map(|p| p.hash.as_str());
+        if planned != Some(record.hash.as_str()) {
+            violations.push(Violation::new(
+                &record.hash,
+                "foreign-unit",
+                format!("{}:{}", record.index, planned.unwrap_or("-")),
+                format!("{}:{}", record.index, record.hash),
+            ));
+        } else if !owned.contains(&record.index) {
+            violations.push(Violation::new(
+                &record.hash,
+                "shard-membership",
+                format!("{}..{}", owned.start, owned.end),
+                record.index.to_string(),
+            ));
+        }
+    }
+    violations
+}
+
+/// [`plan_violations`] as run, resume, report and the shard manifest
+/// refuse it: [`CampaignError::SpecMismatch`], or one
+/// [`CampaignError::CorruptStore`] line naming `source`.
+pub(crate) fn check_plan(
+    plan: &CampaignPlan,
+    owned: Range<usize>,
+    header: Option<&StoreHeader>,
+    records: &[UnitRecord],
+    source: &str,
+) -> Result<(), CampaignError> {
+    match plan_violations(plan, owned, header, records).into_iter().next() {
+        None => Ok(()),
+        Some(v) if v.reason == "spec-mismatch" => {
+            Err(CampaignError::SpecMismatch { expected: v.expected, found: v.got })
+        }
+        Some(v) => Err(CampaignError::CorruptStore(format!("{source}: {}", v.render()))),
+    }
 }
 
 /// The shared semantic checker behind [`ResultStore::load`] (stop at the
@@ -173,12 +249,8 @@ pub(crate) struct StoreVerifier {
     pub header: Option<StoreHeader>,
     /// The chain head after every accepted line.
     pub chain_head: Option<String>,
-    /// Unit records in file order (legacy and chained alike).
+    /// Unit records in file order.
     pub records: Vec<UnitRecord>,
-    /// Records that carried chain metadata.
-    pub chained: usize,
-    /// Legacy records without chain metadata.
-    pub legacy: usize,
     /// Whether a seal line was seen.
     pub sealed: bool,
     seen: HashSet<String>,
@@ -191,8 +263,6 @@ impl StoreVerifier {
             header: None,
             chain_head: None,
             records: Vec::new(),
-            chained: 0,
-            legacy: 0,
             sealed: false,
             seen: HashSet::new(),
             last_index: None,
@@ -235,14 +305,8 @@ impl StoreVerifier {
                     self.header = Some(header);
                 }
             }
-            StoreLine::Unit(record) => {
-                self.check_record(&record, None, &mut violations);
-                self.legacy += 1;
-                self.records.push(record);
-            }
             StoreLine::Chained(chained) => {
-                self.check_record(&chained.record, Some(&chained), &mut violations);
-                self.chained += 1;
+                self.check_record(&chained, &mut violations);
                 self.records.push(chained.record);
             }
             StoreLine::Seal(footer) => {
@@ -255,12 +319,8 @@ impl StoreVerifier {
         violations
     }
 
-    fn check_record(
-        &mut self,
-        record: &UnitRecord,
-        chained: Option<&ChainedRecord>,
-        violations: &mut Vec<Violation>,
-    ) {
+    fn check_record(&mut self, chained: &ChainedRecord, violations: &mut Vec<Violation>) {
+        let record = &chained.record;
         let computed = record.unit.content_hash();
         if record.hash != computed {
             violations.push(Violation::new(
@@ -289,40 +349,38 @@ impl StoreVerifier {
             }
         }
         self.last_index = Some(record.index);
-        if let Some(chained) = chained {
-            let digest = result_digest(record);
-            if chained.digest != digest {
-                violations.push(Violation::new(
-                    &record.hash,
-                    "digest-mismatch",
-                    digest,
-                    chained.digest.clone(),
-                ));
-            }
-            // The chain consumes the *stored* digest: a corrupt result
-            // breaks the digest check alone, a corrupt chain field breaks
-            // the chain check alone.
-            match &self.chain_head {
-                Some(head) => {
-                    let expected = chain_step(head, &record.hash, &chained.digest);
-                    if chained.chain != expected {
-                        violations.push(Violation::new(
-                            &record.hash,
-                            "chain-mismatch",
-                            expected,
-                            chained.chain.clone(),
-                        ));
-                    }
-                }
-                None => violations.push(Violation::new(
-                    &record.hash,
-                    "chain-unseeded",
-                    "header-before-records".into(),
-                    "no-header".into(),
-                )),
-            }
-            self.chain_head = Some(chained.chain.clone());
+        let digest = result_digest(record);
+        if chained.digest != digest {
+            violations.push(Violation::new(
+                &record.hash,
+                "digest-mismatch",
+                digest,
+                chained.digest.clone(),
+            ));
         }
+        // The chain consumes the *stored* digest: a corrupt result breaks
+        // the digest check alone, a corrupt chain field breaks the chain
+        // check alone.
+        match &self.chain_head {
+            Some(head) => {
+                let expected = chain_step(head, &record.hash, &chained.digest);
+                if chained.chain != expected {
+                    violations.push(Violation::new(
+                        &record.hash,
+                        "chain-mismatch",
+                        expected,
+                        chained.chain.clone(),
+                    ));
+                }
+            }
+            None => violations.push(Violation::new(
+                &record.hash,
+                "chain-unseeded",
+                "header-before-records".into(),
+                "no-header".into(),
+            )),
+        }
+        self.chain_head = Some(chained.chain.clone());
     }
 
     fn check_seal(&mut self, footer: &StoreFooter, violations: &mut Vec<Violation>) {
@@ -436,16 +494,7 @@ impl ResultStore {
     /// character, and that tail must be truncated like any other torn
     /// line, not fail the whole pass.
     pub(crate) fn scan(&self) -> Result<StoreScan, CampaignError> {
-        let mut bytes = Vec::new();
-        match File::open(&self.path) {
-            Ok(mut file) => {
-                file.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(StoreScan { lines: Vec::new(), valid_len: 0, torn_bytes: 0 });
-            }
-            Err(e) => return Err(e.into()),
-        }
+        let bytes = read_or_empty(&self.path)?;
         let mut lines = Vec::new();
         let mut offset = 0usize;
         let mut valid_len = 0u64;
@@ -523,53 +572,13 @@ impl ResultStore {
             torn_tail: scan.torn_bytes > 0,
             torn_bytes: scan.torn_bytes,
             chain_head: verifier.chain_head,
-            chained: verifier.chained,
-            legacy: verifier.legacy,
             sealed: verifier.sealed,
         })
     }
 
-    /// Opens the file for appending at `valid_len`, truncating any torn
-    /// tail first. Creates the file when missing. When bytes were
-    /// actually truncated, the truncation is fsynced before the handle is
-    /// returned — a power loss must not be able to reorder the truncation
-    /// against the appends that follow it.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Io`].
-    pub fn open_for_append(&self, valid_len: u64) -> Result<File, CampaignError> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(&self.path)?;
-        let on_disk = file.metadata()?.len();
-        file.set_len(valid_len)?;
-        if on_disk != valid_len {
-            file.sync_all()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-        Ok(file)
-    }
-
-    /// Serializes one line and appends it (newline-terminated). The raw
-    /// primitive behind the appender; writes no chain metadata (tests and
-    /// legacy tooling only — campaign execution goes through
-    /// [`ResultStore::appender`]).
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Io`] / [`CampaignError::Json`].
-    pub fn append_line(file: &mut File, line: &StoreLine) -> Result<(), CampaignError> {
-        let mut json = serde_json::to_string(line)?;
-        json.push('\n');
-        file.write_all(json.as_bytes())?;
-        Ok(())
-    }
-
-    /// A chain-maintaining appender positioned at `loaded.valid_len`
-    /// (truncating any torn tail, see [`ResultStore::open_for_append`]).
+    /// A chain-maintaining appender positioned at `loaded.valid_len`,
+    /// truncating any torn tail first (fsynced, so a power loss cannot
+    /// reorder the truncation against the appends that follow it).
     /// The appender continues `loaded`'s chain head, so records appended
     /// across any number of interruptions form one continuous chain.
     ///
@@ -577,7 +586,7 @@ impl ResultStore {
     ///
     /// [`CampaignError::Io`].
     pub fn appender(&self, loaded: &LoadedStore) -> Result<StoreAppender, CampaignError> {
-        let file = self.open_for_append(loaded.valid_len)?;
+        let file = open_for_append(&self.path, loaded.valid_len)?;
         // Out-of-band I/O accounting (see `docs/OBSERVABILITY.md`):
         // instruments resolve once per appender, counts never feed back
         // into what gets written.
@@ -599,7 +608,36 @@ impl ResultStore {
     }
 }
 
-/// The schema-v2 append path: wraps each record in its
+/// The bytes of the file at `path`; a missing file reads as empty. The
+/// first step of every store and events-ledger read.
+pub(crate) fn read_or_empty(path: &Path) -> Result<Vec<u8>, CampaignError> {
+    match std::fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        bytes => Ok(bytes?),
+    }
+}
+
+/// Opens the file at `path` for appending at `len`, creating it when
+/// missing and truncating any torn tail first. When bytes were actually
+/// truncated, the truncation is fsynced before the handle is returned — a
+/// power loss must not be able to reorder the truncation against the
+/// appends that follow it. Shared by the store and the events ledger.
+pub(crate) fn open_for_append(path: &Path, len: u64) -> Result<File, CampaignError> {
+    let mut file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(false)
+        .open(path)?;
+    let on_disk = file.metadata()?.len();
+    file.set_len(len)?;
+    if on_disk != len {
+        file.sync_all()?;
+    }
+    file.seek(SeekFrom::End(0))?;
+    Ok(file)
+}
+
+/// The append path: wraps each record in its
 /// [`ChainedRecord`], tracks the chain head, writes the seal, and hosts
 /// the deterministic fault-injection hook the crash-safety proptests
 /// drive.
@@ -803,27 +841,25 @@ mod tests {
         ResultStore::new(path)
     }
 
-    fn write_store(store: &ResultStore, lines: &[StoreLine]) {
-        let mut file = store.open_for_append(0).expect("open");
-        for line in lines {
-            ResultStore::append_line(&mut file, line).expect("append");
-        }
+    /// Appends raw bytes, as a torn or forged write would leave them.
+    fn append_raw(store: &ResultStore, bytes: &[u8]) {
+        let mut file = OpenOptions::new().append(true).open(store.path()).expect("open");
+        file.write_all(bytes).expect("write");
     }
 
-    fn header() -> StoreLine {
-        StoreLine::Header(StoreHeader {
+    fn header() -> StoreHeader {
+        StoreHeader {
             name: "t".into(),
             spec_hash: "0123456789abcdef".into(),
             planned_units: 2,
-        })
+        }
     }
 
-    /// Writes a chained v2 store (header + n records), unsealed.
+    /// Writes a chained store (header + n records), unsealed.
     fn write_chained(store: &ResultStore, n: usize) {
         let loaded = store.load().expect("loads");
         let mut appender = store.appender(&loaded).expect("appender");
-        let StoreLine::Header(h) = header() else { unreachable!() };
-        appender.append_header(h).expect("header");
+        appender.append_header(header()).expect("header");
         for i in 0..n {
             appender.append_record(record(i)).expect("record");
         }
@@ -832,14 +868,11 @@ mod tests {
     #[test]
     fn round_trips_header_and_records() {
         let store = temp_store("roundtrip");
-        write_store(&store, &[header(), StoreLine::Unit(record(0)), StoreLine::Unit(record(1))]);
+        write_chained(&store, 2);
         let loaded = store.load().expect("loads");
         assert_eq!(loaded.header.as_ref().map(|h| h.planned_units), Some(2));
         assert_eq!(loaded.records, vec![record(0), record(1)]);
         assert!(!loaded.torn_tail);
-        // Bare `Unit` lines are the legacy form: loadable, not chained.
-        assert_eq!(loaded.legacy, 2);
-        assert_eq!(loaded.chained, 0);
         assert!(!loaded.sealed);
         let _ = std::fs::remove_file(store.path());
     }
@@ -857,27 +890,23 @@ mod tests {
     #[test]
     fn torn_tail_is_detected_and_truncated_on_append() {
         let store = temp_store("torn");
-        write_store(&store, &[header(), StoreLine::Unit(record(0))]);
+        write_chained(&store, 1);
         let clean_len = store.load().expect("loads").valid_len;
         // Simulate an interrupted write: half a record, no newline.
-        let mut file = store.open_for_append(clean_len).expect("open");
-        file.write_all(b"{\"Unit\":{\"hash\":\"dead").expect("write");
-        drop(file);
+        let tear = b"{\"Chained\":{\"record\":{\"hash\":\"dead";
+        append_raw(&store, tear);
         let loaded = store.load().expect("loads");
         assert!(loaded.torn_tail);
-        assert_eq!(loaded.torn_bytes, 21);
+        assert_eq!(loaded.torn_bytes, tear.len() as u64);
         assert_eq!(loaded.valid_len, clean_len);
         assert_eq!(loaded.records.len(), 1);
         // Appending after truncation yields the same file as never having
         // torn it.
-        let mut file = store.open_for_append(loaded.valid_len).expect("open");
-        ResultStore::append_line(&mut file, &StoreLine::Unit(record(1))).expect("append");
-        drop(file);
+        let mut appender = store.appender(&loaded).expect("appender");
+        appender.append_record(record(1)).expect("append");
+        drop(appender);
         let reference = temp_store("torn_ref");
-        write_store(
-            &reference,
-            &[header(), StoreLine::Unit(record(0)), StoreLine::Unit(record(1))],
-        );
+        write_chained(&reference, 2);
         let a = std::fs::read(store.path()).expect("read");
         let b = std::fs::read(reference.path()).expect("read");
         assert_eq!(a, b);
@@ -910,13 +939,11 @@ mod tests {
         // an interruption can cut the file mid-character. That tail must
         // be truncated like any other torn write.
         let store = temp_store("torn_utf8");
-        write_store(&store, &[header(), StoreLine::Unit(record(0))]);
+        write_chained(&store, 1);
         let clean_len = store.load().expect("loads").valid_len;
-        let mut file = store.open_for_append(clean_len).expect("open");
-        let torn = "{\"Unit\":{\"hash\":\"café".as_bytes();
+        let torn = "{\"Chained\":{\"record\":{\"hash\":\"café".as_bytes();
         // Cut inside the two-byte 'é'.
-        file.write_all(&torn[..torn.len() - 1]).expect("write");
-        drop(file);
+        append_raw(&store, &torn[..torn.len() - 1]);
         let loaded = store.load().expect("a mid-character cut must still load");
         assert!(loaded.torn_tail);
         assert_eq!(loaded.valid_len, clean_len);
@@ -927,11 +954,9 @@ mod tests {
     #[test]
     fn unparseable_final_line_counts_as_torn() {
         let store = temp_store("torn_final");
-        write_store(&store, &[header()]);
+        write_chained(&store, 0);
         let clean_len = store.load().expect("loads").valid_len;
-        let mut file = store.open_for_append(clean_len).expect("open");
-        file.write_all(b"{\"Unit\":{\"hash\"\n").expect("write");
-        drop(file);
+        append_raw(&store, b"{\"Chained\":{\"record\"\n");
         let loaded = store.load().expect("loads");
         assert!(loaded.torn_tail);
         assert_eq!(loaded.valid_len, clean_len);
@@ -944,8 +969,6 @@ mod tests {
         write_chained(&store, 2);
         let loaded = store.load().expect("loads");
         assert_eq!(loaded.records.len(), 2);
-        assert_eq!(loaded.chained, 2);
-        assert_eq!(loaded.legacy, 0);
         assert!(!loaded.sealed);
         // Seal it through a fresh appender (as a resume would).
         let mut appender = store.appender(&loaded).expect("appender");
@@ -1006,9 +1029,8 @@ mod tests {
             7,
             loaded.chain_head.clone().expect("head"),
         );
-        let mut file = store.open_for_append(loaded.valid_len).expect("open");
-        ResultStore::append_line(&mut file, &StoreLine::Seal(footer)).expect("append");
-        drop(file);
+        let seal = serde_json::to_string(&StoreLine::Seal(footer)).expect("json") + "\n";
+        append_raw(&store, seal.as_bytes());
         let err = store.load().expect_err("a lying seal must refuse");
         assert!(err.to_string().contains("reason=unit-count-mismatch"), "{err}");
         let _ = std::fs::remove_file(store.path());

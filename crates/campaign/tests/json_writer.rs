@@ -153,19 +153,18 @@ fn record(d: &mut Draw) -> UnitRecord {
 }
 
 fn store_line(d: &mut Draw) -> StoreLine {
-    match d.below(5) {
+    match d.below(4) {
         0 => StoreLine::Header(StoreHeader {
             name: d.text(),
             spec_hash: d.text(),
             planned_units: d.size(),
         }),
-        1 => StoreLine::Unit(record(d)),
-        2 => StoreLine::Chained(ChainedRecord {
+        1 => StoreLine::Chained(ChainedRecord {
             record: record(d),
             digest: d.text(),
             chain: d.text(),
         }),
-        3 => StoreLine::Chained(ChainedRecord::next(&d.text(), record(d))),
+        2 => StoreLine::Chained(ChainedRecord::next(&d.text(), record(d))),
         _ => StoreLine::Seal(StoreFooter {
             schema: d.text(),
             engine: d.text(),

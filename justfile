@@ -76,6 +76,8 @@ montecarlo-large:
 # store at level 1 (header / hash chain / plan membership / seal) and at
 # level 2 (seeded sampled re-execution), then corrupt one byte of a copy
 # and check certification fails with a greppable CERTIFY-FAIL line.
+# Certified against another spec, the store must fail with exit 1 and
+# exactly one spec-mismatch line, not one failure per record.
 certify-smoke: campaign-smoke
     cargo run --release -- certify target/campaign-smoke.jsonl --spec examples/campaign_smoke.json
     cargo run --release -- certify target/campaign-smoke.jsonl --spec examples/campaign_smoke.json --level 2 --sample 8 --seed 7 --out target/certify-verdict.json
@@ -83,6 +85,9 @@ certify-smoke: campaign-smoke
     printf '\0' | dd of=target/campaign-smoke-corrupt.jsonl bs=1 seek=2048 conv=notrunc status=none
     if cargo run --release -- certify target/campaign-smoke-corrupt.jsonl --spec examples/campaign_smoke.json > target/certify-corrupt.log 2>&1; then echo "a corrupted bundle must not certify"; exit 1; fi
     grep -q 'CERTIFY-FAIL' target/certify-corrupt.log
+    code=0; cargo run --release -- certify target/campaign-smoke.jsonl --spec examples/serial_equivalence.json > target/certify-wrong-spec.log 2>&1 || code=$?; test "$code" -eq 1 || { echo "certifying against another spec must exit 1, got $code"; exit 1; }
+    test "$(grep -c 'CERTIFY-FAIL unit=- field=spec-mismatch' target/certify-wrong-spec.log)" -eq 1
+    if grep -q 'field=foreign-unit' target/certify-wrong-spec.log; then echo "a foreign spec must be reported alone"; exit 1; fi
 
 # CI gate for distributed campaigns (see docs/CAMPAIGNS.md): shard the
 # committed smoke spec over 4 worker processes, kill shard 1's first

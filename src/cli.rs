@@ -86,8 +86,9 @@ units ride the 64-lane lockstep engine) and appends one JSONL record per
 unit to the store; `resume` continues an interrupted store, skipping
 completed units, and reproduces the uninterrupted store byte for byte;
 `report` folds the store into grouped survival / cover-time summaries
-(a store covering only part of the plan is labelled PARTIAL, and a
-mid-plan slice is flagged as an unmerged shard store).
+(a store covering only part of the plan is labelled PARTIAL, a mid-plan
+slice is flagged as an unmerged shard store, and a store with no header
+is refused).
 With --procs, `run`/`resume` become a *supervisor*: the plan is split
 into P disjoint shard ranges (manifest at <store>.manifest.json, shard
 stores under <store>.shards/), each shard runs as an independent

@@ -147,3 +147,21 @@ fn campaign_cli_rejects_malformed_invocations() {
         Err("unknown flag --out for campaign run".into())
     );
 }
+
+/// `campaign report` on a store that was never started exits 1 and names
+/// the path, instead of reporting an empty campaign as partial.
+#[test]
+fn report_refuses_a_store_without_a_header() {
+    let store = std::env::temp_dir().join("dynring_campaign_smoke_missing.jsonl");
+    let _ = std::fs::remove_file(&store);
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_dynring"))
+        .args(["campaign", "report", "--spec", SPEC_PATH, "--store"])
+        .arg(&store)
+        .output()
+        .expect("binary spawns");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let named = format!("{} has no store header", store.display());
+    assert!(stderr.contains(&named), "{stderr}");
+    assert!(!String::from_utf8_lossy(&output.stdout).contains("PARTIAL"), "{output:?}");
+}
