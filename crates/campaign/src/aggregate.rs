@@ -13,7 +13,7 @@
 //! from each unit via [`route_unit`] — it is a pure function of the unit,
 //! deliberately never stored, so the breakdown costs no record bytes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -107,12 +107,13 @@ impl CampaignReport {
 /// in the plan (a foreign store — normally rejected earlier via the spec
 /// hash) are ignored; duplicate hashes count once, first record wins.
 pub fn aggregate(plan: &CampaignPlan, records: &[UnitRecord]) -> CampaignReport {
-    let planned: BTreeMap<&str, ()> =
-        plan.units.iter().map(|u| (u.hash.as_str(), ())).collect();
-    let mut seen: BTreeMap<&str, &UnitRecord> = BTreeMap::new();
+    // Each record lands in its plan unit's slot, found by hash.
+    let slots: HashMap<&str, usize> =
+        plan.units.iter().enumerate().map(|(i, u)| (u.hash.as_str(), i)).collect();
+    let mut by_slot: Vec<Option<&UnitRecord>> = vec![None; plan.units.len()];
     for record in records {
-        if planned.contains_key(record.hash.as_str()) {
-            seen.entry(record.hash.as_str()).or_insert(record);
+        if let Some(&slot) = slots.get(record.hash.as_str()) {
+            by_slot[slot].get_or_insert(record);
         }
     }
     let mut batch_units = 0usize;
@@ -137,8 +138,8 @@ pub fn aggregate(plan: &CampaignPlan, records: &[UnitRecord]) -> CampaignReport 
     // mid-plan slice (an unmerged shard store).
     let mut gap_seen = false;
     let mut plan_prefix = true;
-    for planned_unit in &plan.units {
-        let Some(record) = seen.get(planned_unit.hash.as_str()) else {
+    for record in by_slot {
+        let Some(record) = record else {
             gap_seen = true;
             continue;
         };
@@ -396,6 +397,19 @@ mod tests {
         foreign.hash = "ffffffffffffffff".into();
         let report = aggregate(&plan, &[record.clone(), record, foreign]);
         assert_eq!(report.completed_units, 1);
+    }
+
+    #[test]
+    fn the_first_record_of_a_unit_wins() {
+        let plan = spec().plan().expect("valid spec");
+        let first = execute_unit(&plan.units[0]).expect("unit runs");
+        let mut later = first.clone();
+        later.result.replicas += 5;
+        later.result.covered = 0;
+        let report = aggregate(&plan, &[first.clone(), later]);
+        assert_eq!(report.completed_units, 1);
+        assert_eq!(report.total_replicas, first.result.replicas);
+        assert_eq!(report.covered_replicas, first.result.covered);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! a replay bundle.
 //!
 //! Level 1 is *structural*: the whole file is re-scanned and every line
-//! re-verified — header present, every record's content hash, digest and
-//! chain link recomputed, ordering checked, the seal validated, and the
-//! header and records bound to the plan by the check every store reader
-//! shares — without executing anything.
+//! re-verified as it is parsed — header present, every record's content
+//! hash, digest and chain link recomputed, ordering checked, the seal
+//! validated, and the header and records bound to the plan by the check
+//! every store reader shares — without executing anything.
 //! Level 2 adds *behavioral* spot-checks: a deterministic sample of
 //! units (seeded, both routes covered when both are present) is
 //! re-executed from scratch and the fresh measurements are compared
@@ -22,7 +22,7 @@ use dynring_analysis::seeds::sample_indices;
 
 use crate::executor::{execute_unit, route_unit};
 use crate::spec::{CampaignSpec, PlannedUnit};
-use crate::store::{plan_violations, ResultStore, ScanLine, StoreVerifier};
+use crate::store::{plan_violations, ResultStore, StoreVerifier};
 use crate::CampaignError;
 
 /// Knobs of one certification.
@@ -134,30 +134,30 @@ pub fn certify(
         )));
     }
     let plan = spec.plan()?;
-    let scan = store.scan()?;
     let mut failures = Vec::new();
     let mut verifier = StoreVerifier::new();
-    for entry in scan.lines {
-        match entry {
-            ScanLine::Corrupt { line, offset, reason } => failures.push(CertifyFailure::new(
+    let end = store.scan(|line, offset, parsed| {
+        match parsed {
+            Err(reason) => failures.push(CertifyFailure::new(
                 "-",
                 "parse",
                 "parseable-line".into(),
                 format!("{reason}:line{line}:offset{offset}"),
             )),
-            ScanLine::Parsed { store_line, .. } => {
-                for v in verifier.accept(*store_line) {
+            Ok(store_line) => {
+                for v in verifier.accept(store_line) {
                     failures.push(CertifyFailure::new(&v.unit, v.reason, v.expected, v.got));
                 }
             }
         }
-    }
-    if scan.torn_bytes > 0 {
+        Ok(())
+    })?;
+    if end.torn_bytes > 0 {
         failures.push(CertifyFailure::new(
             "-",
             "tail",
             "newline-terminated-file".into(),
-            format!("torn:{}bytes", scan.torn_bytes),
+            format!("torn:{}bytes", end.torn_bytes),
         ));
     }
     if verifier.header.is_none() {
@@ -250,7 +250,7 @@ pub fn certify(
         spec_hash: plan.spec_hash,
         records: verifier.records.len(),
         sealed: verifier.sealed,
-        torn_tail: scan.torn_bytes > 0,
+        torn_tail: end.torn_bytes > 0,
         chain_head: verifier.chain_head,
         replayed,
         sample_seed: opts.seed,

@@ -100,36 +100,10 @@ impl LoadedStore {
     }
 }
 
-/// One scanned line of the file's newline-terminated region.
+/// Where the scan of a store file ended: the extent of its
+/// newline-terminated region.
 #[derive(Debug)]
-pub(crate) enum ScanLine {
-    /// A line that parsed as a [`StoreLine`].
-    Parsed {
-        /// 1-based line number.
-        line: usize,
-        /// Byte offset of the line start.
-        offset: u64,
-        /// The parsed line (boxed: a record line dwarfs a corrupt entry).
-        store_line: Box<StoreLine>,
-    },
-    /// An interior line that failed UTF-8 or JSON parsing. (A *final*
-    /// unparseable line is a torn tail, not a scan entry.)
-    Corrupt {
-        /// 1-based line number.
-        line: usize,
-        /// Byte offset of the line start.
-        offset: u64,
-        /// `invalid-utf8` or `unparseable-json`.
-        reason: &'static str,
-    },
-}
-
-/// The tolerant pass under [`ResultStore::load`] and certification: every
-/// line of the valid region with its position, parse failures included.
-#[derive(Debug)]
-pub(crate) struct StoreScan {
-    /// Lines in file order.
-    pub lines: Vec<ScanLine>,
+pub(crate) struct ScanEnd {
     /// Byte offset just past the last newline-terminated line.
     pub valid_len: u64,
     /// Bytes past `valid_len` (a torn trailing write).
@@ -483,94 +457,76 @@ impl ResultStore {
     }
 
     /// The tolerant line pass: splits the file into newline-terminated
-    /// lines, parses each, and records interior parse failures instead of
-    /// erroring (certification reports them all; [`ResultStore::load`]
-    /// refuses at the first). A missing file is an empty scan; an
-    /// unparseable *final* line (or an unterminated tail) is torn, not
-    /// corrupt — an interruption can cut a buffer flush anywhere,
-    /// including just after a newline.
+    /// lines and hands each to `visit` as it is parsed, in file order,
+    /// with its 1-based number and byte offset: the [`StoreLine`], or why
+    /// it did not parse (`invalid-utf8` or `unparseable-json`).
+    /// Certification collects every line's failures; [`ResultStore::load`]
+    /// stops at the first, and an error from `visit` ends the pass. A
+    /// missing file is an empty scan; an unparseable *final* line (or an
+    /// unterminated tail) is torn, not corrupt, and is not visited — an
+    /// interruption can cut a buffer flush anywhere, including just after
+    /// a newline.
     ///
     /// Bytes, not a `String`: a torn write can split a multi-byte UTF-8
     /// character, and that tail must be truncated like any other torn
     /// line, not fail the whole pass.
-    pub(crate) fn scan(&self) -> Result<StoreScan, CampaignError> {
+    pub(crate) fn scan(
+        &self,
+        mut visit: impl FnMut(usize, u64, Result<StoreLine, &'static str>)
+            -> Result<(), CampaignError>,
+    ) -> Result<ScanEnd, CampaignError> {
         let bytes = read_or_empty(&self.path)?;
-        let mut lines = Vec::new();
         let mut offset = 0usize;
-        let mut valid_len = 0u64;
         let mut line_no = 0usize;
-        while offset < bytes.len() {
-            let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-                // No terminating newline: a torn trailing write.
-                break;
-            };
+        while let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') {
             let is_last_line = offset + nl + 1 == bytes.len();
             line_no += 1;
-            let entry = match std::str::from_utf8(&bytes[offset..offset + nl]) {
-                Err(_) if is_last_line => break,
-                Err(_) => ScanLine::Corrupt {
-                    line: line_no,
-                    offset: offset as u64,
-                    reason: "invalid-utf8",
-                },
-                Ok(text) => match serde_json::from_str::<StoreLine>(text) {
-                    Ok(store_line) => ScanLine::Parsed {
-                        line: line_no,
-                        offset: offset as u64,
-                        store_line: Box::new(store_line),
-                    },
-                    Err(_) if is_last_line => break,
-                    Err(_) => ScanLine::Corrupt {
-                        line: line_no,
-                        offset: offset as u64,
-                        reason: "unparseable-json",
-                    },
-                },
+            let parsed = match std::str::from_utf8(&bytes[offset..offset + nl]) {
+                Err(_) => Err("invalid-utf8"),
+                Ok(text) => serde_json::from_str::<StoreLine>(text).map_err(|_| "unparseable-json"),
             };
-            lines.push(entry);
+            if parsed.is_err() && is_last_line {
+                break;
+            }
+            visit(line_no, offset as u64, parsed)?;
             offset += nl + 1;
-            valid_len = offset as u64;
         }
-        Ok(StoreScan {
-            lines,
-            valid_len,
-            torn_bytes: bytes.len() as u64 - valid_len,
+        Ok(ScanEnd {
+            valid_len: offset as u64,
+            torn_bytes: (bytes.len() - offset) as u64,
         })
     }
 
-    /// Parses and verifies the file (missing file = empty store). A torn
-    /// tail ends the valid region; everything before it must parse *and*
-    /// satisfy the semantic rules — content hashes, digests, chain
-    /// continuity, record ordering, no duplicates, a valid seal if one is
-    /// present.
+    /// Parses and verifies the file (missing file = empty store), each
+    /// line as it is read. A torn tail ends the valid region; everything
+    /// before it must parse *and* satisfy the semantic rules — content
+    /// hashes, digests, chain continuity, record ordering, no duplicates,
+    /// a valid seal if one is present.
     ///
     /// # Errors
     ///
     /// [`CampaignError::Io`] on unreadable files,
     /// [`CampaignError::CorruptStore`] — one `STORE-CORRUPT line=…
-    /// offset=… reason=…` line — when a non-trailing line fails to parse
-    /// or verify (truncating the tail cannot repair it).
+    /// offset=… reason=…` line — at the first non-trailing line that fails
+    /// to parse or verify (truncating the tail cannot repair it).
     pub fn load(&self) -> Result<LoadedStore, CampaignError> {
-        let scan = self.scan()?;
         let mut verifier = StoreVerifier::new();
-        for entry in scan.lines {
-            match entry {
-                ScanLine::Corrupt { line, offset, reason } => {
-                    return Err(self.corrupt(line, offset, reason, "", ""));
-                }
-                ScanLine::Parsed { line, offset, store_line } => {
-                    if let Some(v) = verifier.accept(*store_line).into_iter().next() {
-                        return Err(self.corrupt(line, offset, v.reason, &v.expected, &v.got));
-                    }
-                }
+        let end = self.scan(|line, offset, parsed| {
+            let violation = match parsed {
+                Err(reason) => return Err(self.corrupt(line, offset, reason, "", "")),
+                Ok(store_line) => verifier.accept(store_line).into_iter().next(),
+            };
+            match violation {
+                Some(v) => Err(self.corrupt(line, offset, v.reason, &v.expected, &v.got)),
+                None => Ok(()),
             }
-        }
+        })?;
         Ok(LoadedStore {
             header: verifier.header,
             records: verifier.records,
-            valid_len: scan.valid_len,
-            torn_tail: scan.torn_bytes > 0,
-            torn_bytes: scan.torn_bytes,
+            valid_len: end.valid_len,
+            torn_tail: end.torn_bytes > 0,
+            torn_bytes: end.torn_bytes,
             chain_head: verifier.chain_head,
             sealed: verifier.sealed,
         })

@@ -1,14 +1,19 @@
 //! Unit hashes, store lines and ledger lines are written by the direct
-//! JSON writer behind `serde_json::to_string`. On random campaign values —
+//! JSON writer behind `serde_json::to_string` and read back by the direct
+//! reader behind `serde_json::from_str`. On random campaign values —
 //! every variant, any finite float, integers of every magnitude, names
-//! that need escaping — it must write exactly the bytes the Value path
-//! (`to_value`, then rendering the tree) writes, and they must parse back
-//! to the same value.
+//! that need escaping — the writer must write exactly the bytes the Value
+//! path (`to_value`, then rendering the tree) writes, and both readers
+//! must decode them to the same value. On those bytes damaged the way a
+//! torn or forged store line is — truncated, a byte flipped, a key
+//! repeated, whitespace inserted — the direct reader must accept exactly
+//! when the tree path (parse to a `Value`, then `from_value`) does, and
+//! decode the same value.
 
 use std::fmt::Debug;
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{DeserializeOwned, Serialize, Value};
 
 use dynring_analysis::{AlgorithmChoice, PlacementSpec};
 use dynring_campaign::spec::fnv1a64;
@@ -231,16 +236,69 @@ fn event(d: &mut Draw) -> Event {
     }
 }
 
-/// `value` is written as the Value path writes it and parses back.
+/// The tree path: parse the text into a `Value`, then decode the value.
+fn via_value<T: DeserializeOwned>(text: &str) -> Result<T, serde_json::Error> {
+    serde_json::from_value(serde_json::from_str::<Value>(text)?)
+}
+
+/// `value` is written as the Value path writes it and reads back as
+/// itself on both paths.
 fn same_bytes<T>(value: &T) -> TestCaseResult
 where
-    T: Serialize + for<'de> Deserialize<'de> + PartialEq + Debug,
+    T: Serialize + DeserializeOwned + PartialEq + Debug,
 {
     let direct = serde_json::to_string(value).expect("finite values serialize");
     let tree = serde_json::to_value(value).expect("values build");
     prop_assert_eq!(&direct, &serde_json::to_string(&tree).expect("trees render"));
     let back: T = serde_json::from_str(&direct).expect("written JSON parses");
     prop_assert_eq!(&back, value);
+    let back: T = via_value(&direct).expect("written JSON parses on the tree path");
+    prop_assert_eq!(&back, value);
+    Ok(())
+}
+
+/// `text` damaged one way, chosen by `d`: cut short, one ASCII byte
+/// flipped to another, an object's first key repeated, or whitespace
+/// inserted.
+fn mutate(d: &mut Draw, text: &str) -> String {
+    let bytes = text.as_bytes();
+    let at = d.below(bytes.len() as u64 + 1) as usize;
+    match d.below(4) {
+        0 => String::from_utf8_lossy(&bytes[..at]).into_owned(),
+        1 => {
+            let mut out = bytes.to_vec();
+            if let Some(b) = out.get_mut(at).filter(|b| b.is_ascii()) {
+                *b ^= 1 + d.below(0x7f) as u8;
+            }
+            String::from_utf8(out).expect("an ASCII flip keeps UTF-8")
+        }
+        2 => {
+            // Repeat the first `"key":` of a random object, with a
+            // value drawn from text that is valid JSON of some kind.
+            let opens: Vec<usize> = text.match_indices("{\"").map(|(i, _)| i).collect();
+            let Some(&open) = opens.get(d.below(opens.len().max(1) as u64) as usize) else {
+                return text.to_string();
+            };
+            let key_end = text[open..].find("\":").map_or(text.len(), |i| open + i + 2);
+            let value = ["0", "null", "\"x\"", "[]", "{}", "-1.5", "true"][d.below(7) as usize];
+            format!("{}{}{value},{}", &text[..=open], &text[open + 1..key_end], &text[open + 1..])
+        }
+        _ => {
+            let space = [" ", "\t", "\n", "\r", "  \n "][d.below(5) as usize];
+            let at = (0..=at).rev().find(|&i| text.is_char_boundary(i)).unwrap_or(0);
+            format!("{}{space}{}", &text[..at], &text[at..])
+        }
+    }
+}
+
+/// Both readers accept `text` or both refuse it, and agree on the value.
+fn same_verdict<T: DeserializeOwned + PartialEq + Debug>(text: &str) -> TestCaseResult {
+    let direct = serde_json::from_str::<T>(text);
+    let tree = via_value::<T>(text);
+    prop_assert_eq!(direct.is_ok(), tree.is_ok(), "{:?}: {:?} vs {:?}", text, direct, tree);
+    if let (Ok(direct), Ok(tree)) = (direct, tree) {
+        prop_assert_eq!(direct, tree);
+    }
     Ok(())
 }
 
@@ -259,5 +317,19 @@ proptest! {
         same_bytes(&store_line(&mut d))?;
         same_bytes(&event(&mut d))?;
         same_bytes(&EventRecord { t_ms: d.int(), event: event(&mut d) })?;
+    }
+
+    #[test]
+    fn the_direct_reader_accepts_damaged_lines_exactly_when_the_tree_path_does(seed in any::<u64>()) {
+        let mut d = Draw(seed);
+        let line = serde_json::to_string(&store_line(&mut d)).expect("writes");
+        for _ in 0..4 {
+            same_verdict::<StoreLine>(&mutate(&mut d, &line))?;
+        }
+        let event = serde_json::to_string(&EventRecord { t_ms: d.int(), event: event(&mut d) })
+            .expect("writes");
+        same_verdict::<EventRecord>(&mutate(&mut d, &event))?;
+        let unit = serde_json::to_string(&unit(&mut d)).expect("writes");
+        same_verdict::<WorkUnit>(&mutate(&mut d, &unit))?;
     }
 }

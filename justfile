@@ -88,6 +88,11 @@ certify-smoke: campaign-smoke
     code=0; cargo run --release -- certify target/campaign-smoke.jsonl --spec examples/serial_equivalence.json > target/certify-wrong-spec.log 2>&1 || code=$?; test "$code" -eq 1 || { echo "certifying against another spec must exit 1, got $code"; exit 1; }
     test "$(grep -c 'CERTIFY-FAIL unit=- field=spec-mismatch' target/certify-wrong-spec.log)" -eq 1
     if grep -q 'field=foreign-unit' target/certify-wrong-spec.log; then echo "a foreign spec must be reported alone"; exit 1; fi
+    sed '0,/"p":0\.5/s//"p":5e400/' target/campaign-smoke.jsonl > target/campaign-smoke-forged.jsonl
+    code=0; cargo run --release -- certify target/campaign-smoke-forged.jsonl --spec examples/campaign_smoke.json > target/certify-forged.log 2>&1 || code=$?; test "$code" -eq 1 || { echo "a forged float must fail certification with exit 1, got $code"; exit 1; }
+    grep -q 'CERTIFY-FAIL unit=- field=parse' target/certify-forged.log
+    code=0; cargo run --release -- campaign report --spec examples/campaign_smoke.json --store target/campaign-smoke-forged.jsonl > target/report-forged.log 2>&1 || code=$?; test "$code" -eq 1 || { echo "a forged float must fail the report with exit 1, got $code"; exit 1; }
+    grep -q 'STORE-CORRUPT .*reason=unparseable-json' target/report-forged.log
 
 # CI gate for distributed campaigns (see docs/CAMPAIGNS.md): shard the
 # committed smoke spec over 4 worker processes, kill shard 1's first
