@@ -17,9 +17,10 @@
 
 use dynring_graph::{EdgeSet, NodeId, RingTopology, Time};
 
+use crate::round::{Robot, RoundBuffers};
 use crate::{
-    ActivationPolicy, Algorithm, EdgeProbe, EngineError, FullActivation, LocalDir, RobotId,
-    RobotPlacement, RobotSnapshot, View,
+    ActivationPolicy, Algorithm, EdgeProbe, EngineError, FullActivation, RobotId, RobotPlacement,
+    RobotSnapshot, View,
 };
 
 /// Which phase a robot will execute at its next activation.
@@ -225,23 +226,11 @@ pub struct AsyncSimulator<A: Algorithm, D> {
     dynamics: D,
     activation: Box<dyn ActivationPolicy>,
     time: Time,
-    nodes: Vec<NodeId>,
-    chiralities: Vec<crate::Chirality>,
-    dirs: Vec<LocalDir>,
-    states: Vec<A::State>,
+    robots: Vec<Robot<A::State>>,
     phases: Vec<Phase>,
-    moved_last: Vec<bool>,
-    // Persistent scratch buffers (see `Simulator`): reused across ticks so
-    // the quiet path is allocation-free.
-    snap_buf: Vec<RobotSnapshot>,
+    // The pending phases handed to the adversary, reused across ticks.
     kind_buf: Vec<PhaseKind>,
-    edge_buf: EdgeSet,
-    occupancy_buf: Vec<usize>,
-    // Nodes with a nonzero occupancy count, cleared sparsely (O(robots)
-    // per tick instead of O(n); see `Simulator`).
-    touched_buf: Vec<u32>,
-    active_buf: Vec<bool>,
-    probe_buf: Vec<EdgeProbe>,
+    buf: RoundBuffers,
 }
 
 impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
@@ -259,28 +248,19 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
     ) -> Result<Self, EngineError> {
         crate::simulator::check_well_initiated(&ring, &placements)?;
         crate::simulator::check_setup(&ring, dynamics.ring(), &placements)?;
-        let k = placements.len();
-        let edge_buf = EdgeSet::empty(ring.edge_count());
-        let occupancy_buf = vec![0usize; ring.node_count()];
         Ok(AsyncSimulator {
+            buf: RoundBuffers::new(&ring),
             ring,
-            states: (0..k).map(|_| algorithm.initial_state()).collect(),
+            robots: placements
+                .iter()
+                .map(|p| Robot::placed(p, algorithm.initial_state()))
+                .collect(),
             algorithm,
             dynamics,
             activation: Box::new(FullActivation),
             time: 0,
-            nodes: placements.iter().map(|p| p.node).collect(),
-            chiralities: placements.iter().map(|p| p.chirality).collect(),
-            dirs: placements.iter().map(|p| p.initial_dir).collect(),
-            phases: (0..k).map(|_| Phase::Look).collect(),
-            moved_last: vec![false; k],
-            snap_buf: Vec::new(),
+            phases: vec![Phase::Look; placements.len()],
             kind_buf: Vec::new(),
-            edge_buf,
-            occupancy_buf,
-            touched_buf: Vec::new(),
-            active_buf: Vec::new(),
-            probe_buf: Vec::new(),
         })
     }
 
@@ -296,12 +276,12 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
 
     /// Current positions, in robot-id order.
     pub fn positions(&self) -> Vec<NodeId> {
-        self.nodes.clone()
+        self.positions_iter().collect()
     }
 
     /// Current positions, in robot-id order, without allocating.
     pub fn positions_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().copied()
+        self.robots.iter().map(|r| r.node)
     }
 
     /// Pending phase of each robot.
@@ -311,134 +291,51 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
 
     /// The shared tick body; pushes per-robot records into `records` when
     /// provided (see [`AsyncSimulator::tick_quiet`] for the silent path).
+    /// A Look phase is [`Robot::look`] and a Move phase [`Robot::cross`],
+    /// each against this tick's snapshot.
     fn tick_impl(&mut self, mut records: Option<&mut Vec<AsyncRobotTick>>) {
         let t = self.time;
-        self.snap_buf.clear();
-        for i in 0..self.nodes.len() {
-            self.snap_buf.push(RobotSnapshot {
-                id: RobotId::new(i),
-                node: self.nodes[i],
-                chirality: self.chiralities[i],
-                dir: self.dirs[i],
-                moved_last_round: self.moved_last[i],
-            });
-        }
+        // A Look or Move phase reads only its robot's two adjacent edges,
+        // so the quiet path offers those as point queries.
+        let probe = records.is_none();
+        let buf = &mut self.buf;
+        buf.observe(&self.ring, &self.robots, probe);
         self.kind_buf.clear();
         self.kind_buf.extend(self.phases.iter().map(Phase::kind));
-        let mut probed = false;
-        {
-            let obs = AsyncObservation {
-                time: t,
-                ring: &self.ring,
-                robots: &self.snap_buf,
-                phases: &self.kind_buf,
-            };
-            if records.is_none() {
-                // Sparse fast path: robot i's (left, right) adjacent edges
-                // at probe_buf[2i], probe_buf[2i + 1] — the only edges any
-                // Look or Move phase can read this tick.
-                self.probe_buf.clear();
-                for i in 0..self.nodes.len() {
-                    let chi = self.chiralities[i];
-                    for dir in [LocalDir::Left, LocalDir::Right] {
-                        self.probe_buf.push(EdgeProbe::new(
-                            self.ring.edge_towards(self.nodes[i], chi.to_global(dir)),
-                        ));
-                    }
-                }
-                probed = self.dynamics.probe_edges(&obs, &mut self.probe_buf);
-            }
-            if !probed {
-                self.dynamics.edges_at_into(&obs, &mut self.edge_buf);
-            }
+        let obs = AsyncObservation {
+            time: t,
+            ring: &self.ring,
+            robots: &buf.snaps,
+            phases: &self.kind_buf,
+        };
+        let probed = probe && self.dynamics.probe_edges(&obs, &mut buf.probes);
+        if !probed {
+            self.dynamics.edges_at_into(&obs, &mut buf.edges);
         }
-        let all_active = self.activation.is_full();
-        if !all_active {
-            self.activation
-                .activate_into(t, self.nodes.len(), &mut self.active_buf);
-        }
-        // Occupancy for Look phases, from the configuration at tick
-        // start, refreshed in O(robots) — see
-        // `crate::simulator::refresh_occupancy`.
-        crate::simulator::refresh_occupancy(
-            &mut self.occupancy_buf,
-            &mut self.touched_buf,
-            self.nodes.iter().map(|node| node.index()),
-        );
-        let edges = &self.edge_buf;
-        // Pre-sliced activation vector (see `Simulator::step_impl`).
-        let active: &[bool] = if all_active { &[] } else { &self.active_buf };
-        debug_assert!(all_active || active.len() == self.nodes.len());
-        // The tick body indexes every per-robot column (`nodes`, `phases`,
-        // `dirs`, `states`, …) by robot id; an iterator over one of them
-        // would not simplify anything.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..self.nodes.len() {
-            if !(all_active || active[i]) {
-                if let Some(records) = records.as_deref_mut() {
-                    records.push(AsyncRobotTick {
-                        id: RobotId::new(i),
-                        executed: None,
-                        node: self.nodes[i],
-                        moved: false,
-                    });
-                }
-                continue;
-            }
-            let executed = self.phases[i].kind();
+        let all_active = buf.activate(&mut *self.activation, t, self.robots.len());
+        for (i, (robot, phase)) in self.robots.iter_mut().zip(&mut self.phases).enumerate() {
+            let executed = (all_active || buf.active[i]).then(|| phase.kind());
+            let present = || buf.present(&self.ring, probed, i, robot);
             let mut moved = false;
-            self.phases[i] = match std::mem::replace(&mut self.phases[i], Phase::Look) {
-                Phase::Look => {
-                    let node = self.nodes[i];
-                    let chi = self.chiralities[i];
-                    let (left, right) = if probed {
-                        (self.probe_buf[2 * i].present, self.probe_buf[2 * i + 1].present)
-                    } else {
-                        (
-                            edges.contains(
-                                self.ring.edge_towards(node, chi.to_global(LocalDir::Left)),
-                            ),
-                            edges.contains(
-                                self.ring.edge_towards(node, chi.to_global(LocalDir::Right)),
-                            ),
-                        )
-                    };
-                    let others = self.occupancy_buf[node.index()] > 1;
-                    Phase::Compute {
-                        view: View::new(self.dirs[i], left, right, others),
-                    }
-                }
-                Phase::Compute { view } => {
-                    self.dirs[i] = self.algorithm.compute(&mut self.states[i], &view);
+            *phase = match (executed, std::mem::replace(phase, Phase::Look)) {
+                (None, pending) => pending,
+                (Some(_), Phase::Look) => Phase::Compute {
+                    view: robot.look(present(), buf.occupancy[robot.node.index()] > 1),
+                },
+                (Some(_), Phase::Compute { view }) => {
+                    robot.dir = self.algorithm.compute(&mut robot.state, &view);
                     Phase::Move
                 }
-                Phase::Move => {
-                    let node = self.nodes[i];
-                    // The pointed edge is the adjacent edge in the current
-                    // direction — one of the tick's two probe queries.
-                    let pointed_present = if probed {
-                        match self.dirs[i] {
-                            LocalDir::Left => self.probe_buf[2 * i].present,
-                            LocalDir::Right => self.probe_buf[2 * i + 1].present,
-                        }
-                    } else {
-                        let global = self.chiralities[i].to_global(self.dirs[i]);
-                        edges.contains(self.ring.edge_towards(node, global))
-                    };
-                    if pointed_present {
-                        let global = self.chiralities[i].to_global(self.dirs[i]);
-                        self.nodes[i] = self.ring.neighbor(node, global);
-                        moved = true;
-                    }
-                    self.moved_last[i] = moved;
+                (Some(_), Phase::Move) => {
+                    moved = robot.cross(&self.ring, present());
                     Phase::Look
                 }
             };
             if let Some(records) = records.as_deref_mut() {
                 records.push(AsyncRobotTick {
                     id: RobotId::new(i),
-                    executed: Some(executed),
-                    node: self.nodes[i],
+                    executed,
+                    node: robot.node,
                     moved,
                 });
             }
@@ -448,7 +345,7 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
 
     /// Executes one tick; each activated robot advances one phase.
     pub fn tick(&mut self) -> Vec<AsyncRobotTick> {
-        let mut records = Vec::with_capacity(self.nodes.len());
+        let mut records = Vec::with_capacity(self.robots.len());
         self.tick_impl(Some(&mut records));
         records
     }
@@ -463,13 +360,13 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
     /// starts).
     pub fn run_collecting_visits(&mut self, ticks: u64) -> Vec<NodeId> {
         let mut seen = vec![false; self.ring.node_count()];
-        for node in &self.nodes {
-            seen[node.index()] = true;
+        for r in &self.robots {
+            seen[r.node.index()] = true;
         }
         for _ in 0..ticks {
             self.tick_quiet();
-            for node in &self.nodes {
-                seen[node.index()] = true;
+            for r in &self.robots {
+                seen[r.node.index()] = true;
             }
         }
         seen.iter()
@@ -482,6 +379,7 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LocalDir;
     use dynring_graph::AlwaysPresent;
 
     /// Keeps its direction forever.
@@ -754,7 +652,7 @@ mod tests {
         sim.tick(); // Compute: predicts a move
         let rec = sim.tick(); // Move: e3 gone — stays put
         assert!(!rec[0].moved);
-        assert!(sim.states[0], "the robot *believes* it moved");
+        assert!(sim.robots[0].state, "the robot *believes* it moved");
         assert_eq!(sim.positions(), vec![NodeId::new(0)]);
     }
 }

@@ -19,6 +19,11 @@
 //! 3. **Move** — the robot crosses the edge in its (new) direction iff that
 //!    edge is present in `G_t`, otherwise it stays put.
 //!
+//! [`round()`] states this rule once, on a team of [`Robot`]s the caller
+//! holds: every simulator round runs it, ASYNC ticks run its Look and Move
+//! halves ([`Robot::look`], [`Robot::cross`]) as separate phases, and a
+//! checker can step any configuration under any edge set with it.
+//!
 //! The adversary picks `G_t` *before* the round, but may do so adaptively,
 //! after observing the full configuration `γ_t` (an [`Observation`]); see
 //! [`Dynamics`]. Oblivious schedules from `dynring-graph` plug in through
@@ -69,6 +74,7 @@ mod direction;
 mod dynamics;
 mod error;
 mod robot;
+mod round;
 mod simulator;
 mod ssync;
 mod trace;
@@ -84,6 +90,7 @@ pub use dynamics::{
 };
 pub use error::EngineError;
 pub use robot::{RobotId, RobotPlacement, RobotSnapshot};
+pub use round::{round, Robot};
 pub use simulator::{CoverTracker, Simulator};
 pub use ssync::{ActivationPolicy, BatchActivation, EveryKth, FullActivation, RoundRobinSingle};
 pub use trace::{ExecutionTrace, RobotRound, RoundRecord, Tower};

@@ -90,7 +90,10 @@ pub struct RobotSnapshot {
     pub chirality: Chirality,
     /// Current direction variable (local frame).
     pub dir: LocalDir,
-    /// Whether the robot moved during the previous round.
+    /// Whether the robot's last Move crossed an edge. Under FSYNC that is
+    /// the previous round. Under SSYNC a robot that sat the previous round
+    /// out keeps the flag of its last activation (as [`crate::Robot`]
+    /// does); under ASYNC the flag is the result of its last Move phase.
     pub moved_last_round: bool,
 }
 

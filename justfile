@@ -146,15 +146,18 @@ campaign-smoke:
 # committed 1,728-unit serial-equivalence spec (whole portfolio × every
 # serial-routed dynamics class × FSYNC/SSYNC) must seal to the chain head
 # the recording harness produced, the 2,160-unit multi-word spec (n = 65,
-# 130) to the chain head of the per-edge generators, and both stores must
-# certify at level 2.
+# 130) to the chain head of the per-edge generators, the 432-unit ASYNC
+# spec to the chain head of the phase-split simulator, and all three
+# stores must certify at level 2.
 serial-equivalence:
     cargo test --release -q --test serial_equivalence
-    rm -f target/serial-equivalence.jsonl target/serial-equivalence-multiword.jsonl
+    rm -f target/serial-equivalence.jsonl target/serial-equivalence-multiword.jsonl target/async-equivalence.jsonl
     cargo run --release -- campaign run --spec examples/serial_equivalence.json --store target/serial-equivalence.jsonl
     cargo run --release -- certify target/serial-equivalence.jsonl --spec examples/serial_equivalence.json --level 2 --sample 32 --seed 7
     cargo run --release -- campaign run --spec examples/serial_equivalence_multiword.json --store target/serial-equivalence-multiword.jsonl
     cargo run --release -- certify target/serial-equivalence-multiword.jsonl --spec examples/serial_equivalence_multiword.json --level 2 --sample 32 --seed 7
+    cargo run --release -- campaign run --spec examples/async_equivalence.json --store target/async-equivalence.jsonl
+    cargo run --release -- certify target/async-equivalence.jsonl --spec examples/async_equivalence.json --level 2 --sample 32 --seed 7
 
 # CI gate for the observability layer (see docs/OBSERVABILITY.md): run
 # the smoke spec with --metrics-out, check the store is byte-identical

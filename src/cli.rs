@@ -362,8 +362,8 @@ pub struct Supervisor {
 pub enum MergeFrom {
     /// Every entry of this shard manifest.
     Manifest(String),
-    /// These shard store paths (given as positional words; they win over
-    /// `--manifest`).
+    /// These shard store paths (given as positional words; refused
+    /// beside `--manifest`).
     Stores(Vec<String>),
 }
 

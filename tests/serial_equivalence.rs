@@ -12,7 +12,16 @@
 //! last word; it includes the boundary parameters (Markov and
 //! `BernoulliRecurrent` probabilities 0 and 1, recurrence bound 1,
 //! blocker budget 1). Its pins were taken from the per-edge generators.
-//! `just serial-equivalence` and CI also certify both stores at level 2.
+//!
+//! `examples/async_equivalence.json` pins the ASYNC route: the portfolio
+//! on the phase-split simulator over static and Bernoulli schedules, on
+//! rings of 5 (a dense team), 16 (sparse edge probes) and 65 nodes
+//! (probes into a multi-word frame) — 432 units.
+//! Its pins were taken from the simulator before the Look and Move
+//! halves of its tick moved into `dynring_engine::round`.
+//!
+//! `just serial-equivalence` and CI also certify all three stores at
+//! level 2.
 
 use dynring_campaign::{route_unit, run_campaign, CampaignSpec, ResultStore, RunOptions};
 
@@ -54,5 +63,15 @@ fn multiword_serial_equivalence_spec_seals_to_the_pinned_chain_head() {
         "15b662a87a356378",
         2160,
         "623f2d1c47cfeefe",
+    );
+}
+
+#[test]
+fn async_equivalence_spec_seals_to_the_pinned_chain_head() {
+    assert_seals_to(
+        "examples/async_equivalence.json",
+        "b49cf876245d9f72",
+        432,
+        "dab768da41e1d299",
     );
 }
