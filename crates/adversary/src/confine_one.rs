@@ -102,12 +102,6 @@ impl Dynamics for SingleRobotConfiner {
         &self.ring
     }
 
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        let mut set = EdgeSet::empty_for(&self.ring);
-        self.edges_at_into(obs, &mut set);
-        set
-    }
-
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
         let blocked = self.choose_block(obs);
         out.reset(self.ring.edge_count());

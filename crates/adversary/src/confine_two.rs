@@ -207,12 +207,6 @@ impl Dynamics for TwoRobotConfiner {
         &self.ring
     }
 
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        let mut set = EdgeSet::empty_for(&self.ring);
-        self.edges_at_into(obs, &mut set);
-        set
-    }
-
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
         let decision = self.advance(obs);
         out.reset(self.ring.edge_count());

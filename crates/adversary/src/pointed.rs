@@ -66,12 +66,6 @@ impl Dynamics for PointedEdgeBlocker {
         &self.ring
     }
 
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        let mut set = EdgeSet::empty_for(&self.ring);
-        self.edges_at_into(obs, &mut set);
-        set
-    }
-
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
         out.reset(self.ring.edge_count());
         out.fill();

@@ -1,28 +1,31 @@
-//! The in-place and sparse dynamics APIs must be indistinguishable from
-//! the allocating one for every adversary: identical instances driven
-//! with the same observation sequence — one through `edges_at`, one
-//! through `edges_at_into`, one through `probe_edges` — must describe
-//! identical snapshot sequences (adversaries are stateful, so this also
-//! checks that internal state advances identically on every path). An
-//! adversary that refuses probes must do so without touching queries or
-//! state, and then agree through its `edges_at_into` fallback.
+//! The sparse dynamics API must be indistinguishable from the snapshot
+//! for every adversary: identical instances driven with the same
+//! observation sequence — one through `edges_at_into`, one through
+//! `probe_edges` — must describe identical snapshot sequences
+//! (adversaries are stateful, so this also checks that internal state
+//! advances identically on both paths). An adversary that refuses probes
+//! must do so without touching queries or state, and then agree through
+//! its `edges_at_into` fallback. The ASYNC [`MoveBlocker`] is driven by
+//! observations with random pending phases, as the phase-split simulator
+//! hands them over.
 
 use proptest::prelude::*;
 
 use dynring_adversary::{PointedEdgeBlocker, SingleRobotConfiner, SsyncBlocker, TwoRobotConfiner};
+use dynring_engine::async_exec::{MoveBlocker, PhaseKind};
 use dynring_engine::{
     Chirality, Dynamics, EdgeProbe, LocalDir, Observation, RobotId, RobotSnapshot,
 };
 use dynring_graph::{EdgeSet, NodeId, RingTopology};
 
-/// Drives all three copies over a pseudo-random robot trajectory and
-/// compares every emitted snapshot.
+/// Drives both copies over a pseudo-random robot trajectory, with random
+/// pending phases when `phased`, and compares every emitted snapshot.
 fn assert_paths_agree<D: Dynamics>(
     ring: &RingTopology,
-    mut via_alloc: D,
     mut via_into: D,
     mut via_probe: D,
     robots: usize,
+    phased: bool,
     seed: u64,
     rounds: u64,
 ) -> Result<(), TestCaseError> {
@@ -54,10 +57,14 @@ fn assert_paths_agree<D: Dynamics>(
                 moved_last_round: next() & 1 == 0,
             })
             .collect();
-        let obs = Observation::new(t, ring, &snaps);
-        let allocated = via_alloc.edges_at(&obs);
+        let phases: Vec<PhaseKind> = if phased {
+            let kinds = [PhaseKind::Look, PhaseKind::Compute, PhaseKind::Move];
+            (0..robots).map(|_| kinds[next() as usize % 3]).collect()
+        } else {
+            Vec::new()
+        };
+        let obs = Observation::new(t, ring, &snaps).with_phases(&phases);
         via_into.edges_at_into(&obs, &mut buf);
-        prop_assert_eq!(&allocated, &buf, "t = {}", t);
         // Sparse path: query every edge. Supporters must answer exactly
         // the snapshot; refusers must fall back through edges_at_into with
         // identical results (the engine's fallback sequence).
@@ -66,14 +73,14 @@ fn assert_paths_agree<D: Dynamics>(
             for q in &queries {
                 prop_assert_eq!(
                     q.present,
-                    allocated.contains(q.edge),
+                    buf.contains(q.edge),
                     "probe of {} at t = {}", q.edge, t
                 );
             }
         } else {
             prop_assert!(queries.iter().all(|q| !q.present), "refusal touched queries");
             via_probe.edges_at_into(&obs, &mut fallback_buf);
-            prop_assert_eq!(&allocated, &fallback_buf, "fallback at t = {}", t);
+            prop_assert_eq!(&buf, &fallback_buf, "fallback at t = {}", t);
         }
     }
     Ok(())
@@ -92,8 +99,8 @@ proptest! {
             &ring,
             SingleRobotConfiner::new(ring.clone()),
             SingleRobotConfiner::new(ring.clone()),
-            SingleRobotConfiner::new(ring.clone()),
             1,
+            false,
             seed,
             60,
         )?;
@@ -110,8 +117,8 @@ proptest! {
             &ring,
             TwoRobotConfiner::new(ring.clone(), patience),
             TwoRobotConfiner::new(ring.clone(), patience),
-            TwoRobotConfiner::new(ring.clone(), patience),
             2,
+            false,
             seed,
             60,
         )?;
@@ -129,8 +136,8 @@ proptest! {
             &ring,
             PointedEdgeBlocker::new(ring.clone(), budget, None),
             PointedEdgeBlocker::new(ring.clone(), budget, None),
-            PointedEdgeBlocker::new(ring.clone(), budget, None),
             robots,
+            false,
             seed,
             60,
         )?;
@@ -147,8 +154,26 @@ proptest! {
             &ring,
             SsyncBlocker::new(ring.clone()),
             SsyncBlocker::new(ring.clone()),
-            SsyncBlocker::new(ring.clone()),
             robots,
+            false,
+            seed,
+            60,
+        )?;
+    }
+
+    #[test]
+    fn async_move_blocker_paths_agree(
+        n in 2usize..12,
+        seed in any::<u64>(),
+        robots in 1usize..4,
+    ) {
+        let ring = RingTopology::new(n).expect("valid ring");
+        assert_paths_agree(
+            &ring,
+            MoveBlocker::new(ring.clone()),
+            MoveBlocker::new(ring.clone()),
+            robots,
+            true,
             seed,
             60,
         )?;

@@ -203,9 +203,9 @@ pub struct BatchSweep<'a> {
     /// Base seed; 64-lane plane `b` draws from
     /// `derive_batch_seed(seed, b)` at every arity.
     pub seed: u64,
-    /// Activation scheduling: FSYNC, or SSYNC round-robin — the same
-    /// deterministic policy the serial engine's
-    /// [`RoundRobinSingle`] plays, word-parallel.
+    /// Activation scheduling: FSYNC, or SSYNC round-robin — the serial
+    /// engine's own [`RoundRobinSingle`], one activation vector per round
+    /// for every lane.
     pub scheduler: SchedulerChoice,
 }
 

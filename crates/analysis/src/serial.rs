@@ -3,9 +3,9 @@
 //! recording harness ([`crate::run_scenario`]) — pinned equal for every
 //! dynamics, scheduler and algorithm — without recording a round.
 
-use dynring_engine::async_exec::{AsyncSimulator, ObliviousAsync};
+use dynring_engine::async_exec::AsyncSimulator;
 use dynring_engine::{CoverTracker, Dynamics, RobotPlacement, RoundRobinSingle, Simulator};
-use dynring_graph::{EdgeSchedule, RingTopology, Time};
+use dynring_graph::{RingTopology, Time};
 
 use crate::scenario::{
     build_dynamics, with_algorithm, AlgorithmChoice, Scenario, ScenarioError, SchedulerChoice,
@@ -57,7 +57,7 @@ impl SerialReplica<'_> {
         })
     }
 
-    /// The ASYNC twin: the phase-split simulator over a pure schedule, for
+    /// The ASYNC twin: the phase-split simulator against `dynamics`, for
     /// `3 × horizon` ticks (one Look-Compute-Move cycle per round). The
     /// first cover is counted in ticks.
     ///
@@ -65,15 +65,15 @@ impl SerialReplica<'_> {
     ///
     /// [`ScenarioError::Engine`] when the placements are ill-formed for
     /// the ring.
-    pub fn first_cover_async<S: EdgeSchedule>(
+    pub fn first_cover_async<D: Dynamics>(
         &self,
-        schedule: S,
+        dynamics: D,
     ) -> Result<Option<Time>, ScenarioError> {
         with_algorithm!(self.algorithm, |algorithm| {
             let mut sim = AsyncSimulator::new(
                 self.ring.clone(),
                 algorithm,
-                ObliviousAsync::new(schedule),
+                dynamics,
                 self.placements.to_vec(),
             )?;
             let ticks = self.horizon.saturating_mul(3);
@@ -221,15 +221,14 @@ mod tests {
             placements: &placements,
             horizon: 100,
         };
+        let static_ring =
+            || dynring_engine::Oblivious::new(dynring_graph::AlwaysPresent::new(ring.clone()));
         let sync = replica
-            .first_cover(
-                dynring_engine::Oblivious::new(dynring_graph::AlwaysPresent::new(ring.clone())),
-                SchedulerChoice::Fsync,
-            )
+            .first_cover(static_ring(), SchedulerChoice::Fsync)
             .expect("valid setup")
             .expect("covers");
         let ticks = replica
-            .first_cover_async(dynring_graph::AlwaysPresent::new(ring.clone()))
+            .first_cover_async(static_ring())
             .expect("valid setup")
             .expect("covers");
         // Full activation on a static ring: one round per three ticks.

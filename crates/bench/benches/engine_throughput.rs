@@ -136,8 +136,8 @@ fn bench_throughput(c: &mut Criterion) {
     }
     group.finish();
 
-    // The SSYNC batch route: round-robin activation words vs the serial
-    // engine under the same policy.
+    // The SSYNC batch route: round-robin activation in every lane vs the
+    // serial engine under the same policy.
     {
         let mut batch = ssync_batch_bernoulli_sim(64, 3, BERNOULLI_P);
         let mut lanes = ssync_serial_lane_sims(64, 3, BERNOULLI_P);

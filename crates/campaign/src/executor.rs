@@ -6,10 +6,10 @@
 //! [`dynring_engine::BatchSimulator`] iff its dynamics is the pure
 //! Bernoulli stream **and** its scheduler is FSYNC or SSYNC — exactly
 //! the combinations whose per-lane execution is proven bit-identical to
-//! the serial engine (SSYNC rides the word-parallel round-robin
-//! activation words, the same deterministic policy the serial engine
-//! plays). Everything else (adaptive adversaries, generated stochastic
-//! classes, ASYNC scheduling) runs replica by replica on the serial
+//! the serial engine (SSYNC plays the serial engine's own round-robin
+//! policy, one activation vector per round for every lane). Everything
+//! else (adaptive adversaries, generated stochastic classes, ASYNC
+//! scheduling) runs replica by replica on the serial
 //! first-cover kernel ([`dynring_analysis::serial`]): quiet rounds (or
 //! ASYNC ticks), stopped at the first cover, generated dynamics drawn one
 //! frame per round. The batch route also carries its lane arity
@@ -74,8 +74,8 @@ impl Route {
 }
 
 /// The batch-eligibility rule: pure Bernoulli dynamics under the FSYNC or
-/// SSYNC scheduler (the two whose activation is expressible as
-/// deterministic lane-uniform activation words). A pure function of the
+/// SSYNC scheduler (the two whose activation is the same deterministic
+/// vector in every lane each round). A pure function of the
 /// unit, so the decision is identical on every shard of every run; the
 /// arity is [`BatchArity::for_replicas`] on the unit's replica budget.
 pub fn route_unit(unit: &WorkUnit) -> Route {
@@ -221,8 +221,10 @@ fn serial_first_covers(
             replica.first_cover(Oblivious::new(lane(r, p)?), scheduler)
         }
         (Some(scheduler), _) => first_cover(&suite(r, scheduler)),
-        (None, UnitDynamics::Bernoulli { p }) => replica.first_cover_async(lane(r, p)?),
-        (None, _) => replica.first_cover_async(AlwaysPresent::new(ring.clone())),
+        (None, UnitDynamics::Bernoulli { p }) => {
+            replica.first_cover_async(Oblivious::new(lane(r, p)?))
+        }
+        (None, _) => replica.first_cover_async(Oblivious::new(AlwaysPresent::new(ring.clone()))),
     };
     (0..unit.replicas).map(first).collect()
 }
@@ -388,11 +390,11 @@ mod tests {
 
     #[test]
     fn ssync_batch_route_equals_forced_serial_bit_for_bit() {
-        // The widened route of this change: a pure-Bernoulli SSYNC unit
-        // runs on the batch engine via round-robin activation words, and
-        // its stored record must be byte-identical to the forced-serial
-        // run (which plays `RoundRobinSingle` on the serial engine) — at
-        // every arity, including the natural route.
+        // A pure-Bernoulli SSYNC unit runs on the batch engine under
+        // round-robin activation, and its stored record must be
+        // byte-identical to the forced-serial run (which plays
+        // `RoundRobinSingle` on the serial engine) — at every arity,
+        // including the natural route.
         let planned = unit(UnitDynamics::Bernoulli { p: 0.7 }, UnitScheduler::Ssync);
         let serial = execute_unit_on(&planned, Route::Serial).expect("serial runs");
         assert_eq!(serial.route, "serial");

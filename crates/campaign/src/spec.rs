@@ -183,10 +183,10 @@ pub enum UnitScheduler {
     /// SSYNC round-robin: one robot per round, in id order.
     Ssync,
     /// ASYNC: robots advance one Look/Compute/Move *phase* per tick on the
-    /// phase-split simulator. Only oblivious dynamics (`bernoulli`,
-    /// `static`) are supported; cover times are reported in ticks, and a
-    /// unit's horizon buys `3 × horizon` ticks (one full L-C-M cycle per
-    /// horizon round).
+    /// phase-split simulator. The planner accepts only oblivious dynamics
+    /// (`bernoulli`, `static`) here, although the simulator takes any
+    /// `Dynamics`; cover times are reported in ticks, and a unit's horizon
+    /// buys `3 × horizon` ticks (one full L-C-M cycle per horizon round).
     Async,
 }
 

@@ -51,11 +51,6 @@ impl<W: LaneWord> BatchAlgorithm<W> for KeepDirection {
         view.dir
     }
 
-    fn compute_word_masked(&self, _state: &mut (), view: &ViewWords<W>, _act: W) -> W {
-        // Stateless identity: inactive lanes keep their bit by definition.
-        view.dir
-    }
-
     fn lane_state(&self, _state: &(), lane: u32) {
         assert!(
             (lane as usize) < W::LANES,
@@ -101,11 +96,6 @@ impl<W: LaneWord> BatchAlgorithm<W> for BounceOnMissingEdge {
 
     fn compute_word(&self, _state: &mut (), view: &ViewWords<W>) -> W {
         view.dir ^ !view.exists_edge_ahead()
-    }
-
-    fn compute_word_masked(&self, state: &mut (), view: &ViewWords<W>, act: W) -> W {
-        let d = self.compute_word(state, view);
-        (act & d) | (!act & view.dir)
     }
 
     fn lane_state(&self, _state: &(), lane: u32) {
@@ -155,11 +145,6 @@ impl<W: LaneWord> BatchAlgorithm<W> for AlwaysTurnOnTower {
         view.dir ^ view.others
     }
 
-    fn compute_word_masked(&self, state: &mut (), view: &ViewWords<W>, act: W) -> W {
-        let d = self.compute_word(state, view);
-        (act & d) | (!act & view.dir)
-    }
-
     fn lane_state(&self, _state: &(), lane: u32) {
         assert!(
             (lane as usize) < W::LANES,
@@ -195,10 +180,6 @@ impl<W: LaneWord> BatchAlgorithm<W> for AlternateDirection {
 
     fn compute_word(&self, _state: &mut (), view: &ViewWords<W>) -> W {
         !view.dir
-    }
-
-    fn compute_word_masked(&self, _state: &mut (), view: &ViewWords<W>, act: W) -> W {
-        view.dir ^ act
     }
 
     fn lane_state(&self, _state: &(), lane: u32) {
@@ -257,10 +238,9 @@ impl Algorithm for RandomDirection {
 /// Lane-word form at any arity: the direction stream ignores the view,
 /// and when every lane computes together the per-lane counters stay
 /// equal — one shared counter and one hash serve all `W::LANES` lanes
-/// (the chosen direction is broadcast). Lane-uniform activation keeps
-/// this invariant (all-active rounds bump the counter once, all-inactive
-/// rounds leave it alone); lane-mixed activation would desynchronize the
-/// counters, so the masked default's panic is the correct behaviour.
+/// (the chosen direction is broadcast). The batch engine's activation
+/// keeps this invariant: a robot acts in every lane or in none, so a
+/// round bumps the counter once or leaves it alone.
 impl<W: LaneWord> BatchAlgorithm<W> for RandomDirection {
     type BatchState = u64;
 

@@ -60,11 +60,6 @@ impl<W: LaneWord> BatchAlgorithm<W> for Pef1 {
         view.dir ^ (!view.exists_edge_ahead() & view.exists_edge_behind())
     }
 
-    fn compute_word_masked(&self, state: &mut (), view: &ViewWords<W>, act: W) -> W {
-        let d = self.compute_word(state, view);
-        (act & d) | (!act & view.dir)
-    }
-
     fn lane_state(&self, _state: &(), lane: u32) {
         assert!(
             (lane as usize) < W::LANES,

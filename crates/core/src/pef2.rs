@@ -66,11 +66,6 @@ impl<W: LaneWord> BatchAlgorithm<W> for Pef2 {
         (view.dir & !retarget) | (view.edge_right & retarget)
     }
 
-    fn compute_word_masked(&self, state: &mut (), view: &ViewWords<W>, act: W) -> W {
-        let d = self.compute_word(state, view);
-        (act & d) | (!act & view.dir)
-    }
-
     fn lane_state(&self, _state: &(), lane: u32) {
         assert!(
             (lane as usize) < W::LANES,

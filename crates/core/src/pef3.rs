@@ -99,15 +99,6 @@ impl<W: LaneWord> BatchAlgorithm<W> for Pef3Plus {
         dir
     }
 
-    fn compute_word_masked(&self, state: &mut W, view: &ViewWords<W>, act: W) -> W {
-        // Run the circuit everywhere, then restore the inactive lanes:
-        // their direction and `HasMovedPreviousStep` bit must persist.
-        let old = *state;
-        let dir = self.compute_word(state, view);
-        *state = (act & *state) | (!act & old);
-        (act & dir) | (!act & view.dir)
-    }
-
     fn lane_state(&self, state: &W, lane: u32) -> Pef3State {
         assert!(
             (lane as usize) < W::LANES,

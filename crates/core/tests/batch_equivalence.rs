@@ -360,9 +360,9 @@ proptest! {
         check_bank_equivalence::<_, Lanes128>(PerLane(Pef3Plus::new()), n, k, 0.5, seed, 40, false)?;
     }
 
-    /// The SSYNC widening: under `RoundRobinSingle` activation words the
-    /// batch engine still reproduces every lane's serial SSYNC run — at
-    /// every arity, for stateful circuits and the fallback.
+    /// The SSYNC widening: under `RoundRobinSingle` activation the batch
+    /// engine still reproduces every lane's serial SSYNC run — at every
+    /// arity, for stateful circuits and the fallback.
     #[test]
     fn ssync_batch_lanes_match_serial(
         n in 5usize..10,

@@ -95,27 +95,6 @@ pub trait BatchAlgorithm<W: LaneWord = u64>: Algorithm {
     /// set ⇔ lane `l` now points `Right`).
     fn compute_word(&self, state: &mut Self::BatchState, view: &ViewWords<W>) -> W;
 
-    /// The SSYNC form of [`BatchAlgorithm::compute_word`]: only lanes set
-    /// in `act` run Compute; every other lane must keep its direction
-    /// (return `view.dir`'s bit) *and* its state untouched.
-    ///
-    /// The default handles the lane-uniform words the built-in activation
-    /// policies produce (all-ones → full compute, all-zeros → nothing)
-    /// and panics on a lane-mixed word; circuit implementations override
-    /// it with a masked merge so arbitrary per-lane activation words work.
-    fn compute_word_masked(&self, state: &mut Self::BatchState, view: &ViewWords<W>, act: W) -> W {
-        if act == W::ONES {
-            self.compute_word(state, view)
-        } else if act == W::ZERO {
-            view.dir
-        } else {
-            panic!(
-                "{}: no masked batch circuit for lane-mixed activation",
-                self.name()
-            )
-        }
-    }
-
     /// The scalar state of lane `lane` (observer-side: equivalence tests
     /// and Monte Carlo inspection).
     ///
@@ -165,18 +144,6 @@ impl<A: Algorithm, W: LaneWord> BatchAlgorithm<W> for PerLane<A> {
         for (lane, slot) in state.iter_mut().enumerate() {
             let scalar = view.lane(lane as u32);
             dir.set(lane, ViewWords::dir_bit(self.0.compute(slot, &scalar)) == 1);
-        }
-        dir
-    }
-
-    fn compute_word_masked(&self, state: &mut Self::BatchState, view: &ViewWords<W>, act: W) -> W {
-        debug_assert_eq!(state.len(), W::LANES, "one scalar state per lane");
-        let mut dir = view.dir;
-        for (lane, slot) in state.iter_mut().enumerate() {
-            if act.get(lane) {
-                let scalar = view.lane(lane as u32);
-                dir.set(lane, ViewWords::dir_bit(self.0.compute(slot, &scalar)) == 1);
-            }
         }
         dir
     }
@@ -297,38 +264,6 @@ mod tests {
         check::<u64>();
         check::<Lanes128>();
         check::<Lanes256>();
-    }
-
-    #[test]
-    fn per_lane_masked_compute_freezes_inactive_lanes() {
-        use dynring_graph::LaneWord;
-
-        let batch = PerLane(Bouncer);
-        let mut batch_state: Vec<u32> = BatchAlgorithm::<u64>::initial_batch_state(&batch);
-        let views: Vec<View> = (0..16u32)
-            .map(|bits| {
-                View::new(
-                    ViewWords::dir_from_bit(bits & 1 == 1),
-                    bits & 2 != 0,
-                    bits & 4 != 0,
-                    bits & 8 != 0,
-                )
-            })
-            .collect();
-        let words: ViewWords = ViewWords::from_lanes(&views);
-        // Activate odd lanes only.
-        let act = 0xAAAA_AAAA_AAAA_AAAAu64;
-        let dir_word = batch.compute_word_masked(&mut batch_state, &words, act);
-        for (lane, &state) in batch_state.iter().enumerate() {
-            if act.get(lane) {
-                // Active lanes computed once (Bouncer counts calls).
-                assert_eq!(state, 1, "lane {lane}");
-            } else {
-                // Inactive lanes: untouched state, direction preserved.
-                assert_eq!(state, 0, "lane {lane}");
-                assert_eq!(dir_word.get(lane), words.dir.get(lane), "lane {lane}");
-            }
-        }
     }
 
     #[test]

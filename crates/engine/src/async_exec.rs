@@ -14,13 +14,19 @@
 //! deterministic algorithm — even a single robot — while keeping every edge
 //! recurrent (the blocked edge is only absent during Move ticks, one tick
 //! in three per robot).
+//!
+//! The adversary is the round engine's [`Dynamics`]: each tick it sees an
+//! [`Observation`] that also carries every robot's pending phase
+//! ([`Observation::phases`]), so [`crate::Oblivious`] plays a pure
+//! schedule here as in the round simulator.
 
 use dynring_graph::{EdgeSet, NodeId, RingTopology, Time};
 
 use crate::round::{Robot, RoundBuffers};
+use crate::ssync::fill_activation;
 use crate::{
-    ActivationPolicy, Algorithm, EdgeProbe, EngineError, FullActivation, RobotId, RobotPlacement,
-    RobotSnapshot, View,
+    ActivationPolicy, Algorithm, Dynamics, EdgeProbe, EngineError, FullActivation, Observation,
+    RobotId, RobotPlacement, View,
 };
 
 /// Which phase a robot will execute at its next activation.
@@ -51,99 +57,6 @@ impl Phase {
     }
 }
 
-/// What the ASYNC adversary sees before choosing a tick's snapshot: the
-/// configuration *plus* each robot's pending phase (the classical ASYNC
-/// adversary knows who is about to move).
-#[derive(Debug, Clone, Copy)]
-pub struct AsyncObservation<'a> {
-    time: Time,
-    ring: &'a RingTopology,
-    robots: &'a [RobotSnapshot],
-    phases: &'a [PhaseKind],
-}
-
-impl<'a> AsyncObservation<'a> {
-    /// Current tick.
-    pub fn time(&self) -> Time {
-        self.time
-    }
-
-    /// The ring.
-    pub fn ring(&self) -> &'a RingTopology {
-        self.ring
-    }
-
-    /// Robot snapshots in id order.
-    pub fn robots(&self) -> &'a [RobotSnapshot] {
-        self.robots
-    }
-
-    /// Pending phase of each robot, in id order.
-    pub fn phases(&self) -> &'a [PhaseKind] {
-        self.phases
-    }
-}
-
-/// The ASYNC adversary: chooses each tick's snapshot, aware of pending
-/// phases.
-pub trait AsyncDynamics {
-    /// The ring being scheduled.
-    fn ring(&self) -> &RingTopology;
-
-    /// The snapshot for this tick.
-    fn edges_at(&mut self, obs: &AsyncObservation<'_>) -> EdgeSet;
-
-    /// Writes the snapshot into `out` without allocating (the tick
-    /// engine's hot path; the default delegates to
-    /// [`AsyncDynamics::edges_at`]).
-    fn edges_at_into(&mut self, obs: &AsyncObservation<'_>, out: &mut EdgeSet) {
-        *out = self.edges_at(obs);
-    }
-
-    /// Sparse fast path, mirroring [`crate::Dynamics::probe_edges`]: on
-    /// quiet ticks the engine offers the snapshot as O(robots) point
-    /// queries; answering them (and returning `true`) skips the O(n)
-    /// snapshot scan. The default returns `false` without touching queries
-    /// or state — "fall back to [`AsyncDynamics::edges_at_into`] for this
-    /// tick". Exactly one of the two methods is called per tick, and
-    /// answers must agree with what `edges_at_into` would have produced.
-    fn probe_edges(&mut self, _obs: &AsyncObservation<'_>, _queries: &mut [EdgeProbe]) -> bool {
-        false
-    }
-}
-
-/// Phase-oblivious adapter for plain schedules.
-#[derive(Debug, Clone)]
-pub struct ObliviousAsync<S> {
-    schedule: S,
-}
-
-impl<S: dynring_graph::EdgeSchedule> ObliviousAsync<S> {
-    /// Wraps a pure schedule.
-    pub fn new(schedule: S) -> Self {
-        ObliviousAsync { schedule }
-    }
-}
-
-impl<S: dynring_graph::EdgeSchedule> AsyncDynamics for ObliviousAsync<S> {
-    fn ring(&self) -> &RingTopology {
-        self.schedule.ring()
-    }
-
-    fn edges_at(&mut self, obs: &AsyncObservation<'_>) -> EdgeSet {
-        self.schedule.edges_at(obs.time())
-    }
-
-    fn edges_at_into(&mut self, obs: &AsyncObservation<'_>, out: &mut EdgeSet) {
-        self.schedule.edges_at_into(obs.time(), out);
-    }
-
-    fn probe_edges(&mut self, obs: &AsyncObservation<'_>, queries: &mut [EdgeProbe]) -> bool {
-        crate::dynamics::answer_probes_from_schedule(&self.schedule, obs.time(), queries);
-        true
-    }
-}
-
 /// The ASYNC impossibility adversary: every tick, remove exactly the edges
 /// pointed to by robots whose pending phase is **Move**.
 ///
@@ -165,18 +78,14 @@ impl MoveBlocker {
     }
 }
 
-impl AsyncDynamics for MoveBlocker {
+/// Under the round models the observation has no pending phases, so the
+/// blocker removes nothing there.
+impl Dynamics for MoveBlocker {
     fn ring(&self) -> &RingTopology {
         &self.ring
     }
 
-    fn edges_at(&mut self, obs: &AsyncObservation<'_>) -> EdgeSet {
-        let mut set = EdgeSet::empty_for(&self.ring);
-        self.edges_at_into(obs, &mut set);
-        set
-    }
-
-    fn edges_at_into(&mut self, obs: &AsyncObservation<'_>, out: &mut EdgeSet) {
+    fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
         out.reset(self.ring.edge_count());
         out.fill();
         for (robot, phase) in obs.robots().iter().zip(obs.phases()) {
@@ -189,7 +98,7 @@ impl AsyncDynamics for MoveBlocker {
     /// Adaptive but *stateless*: the blocked set is a pure function of the
     /// observation, so point queries are answered by scanning the ≤ k
     /// robots — the impossibility adversary runs on the sparse path too.
-    fn probe_edges(&mut self, obs: &AsyncObservation<'_>, queries: &mut [EdgeProbe]) -> bool {
+    fn probe_edges(&mut self, obs: &Observation<'_>, queries: &mut [EdgeProbe]) -> bool {
         for q in queries.iter_mut() {
             q.present = !obs.robots().iter().zip(obs.phases()).any(|(robot, phase)| {
                 *phase == PhaseKind::Move
@@ -233,7 +142,7 @@ pub struct AsyncSimulator<A: Algorithm, D> {
     buf: RoundBuffers,
 }
 
-impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
+impl<A: Algorithm, D: Dynamics> AsyncSimulator<A, D> {
     /// Builds an ASYNC simulator (same validation as
     /// [`crate::Simulator::new`]).
     ///
@@ -302,17 +211,13 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
         buf.observe(&self.ring, &self.robots, probe);
         self.kind_buf.clear();
         self.kind_buf.extend(self.phases.iter().map(Phase::kind));
-        let obs = AsyncObservation {
-            time: t,
-            ring: &self.ring,
-            robots: &buf.snaps,
-            phases: &self.kind_buf,
-        };
+        let obs = Observation::new(t, &self.ring, &buf.snaps).with_phases(&self.kind_buf);
         let probed = probe && self.dynamics.probe_edges(&obs, &mut buf.probes);
         if !probed {
             self.dynamics.edges_at_into(&obs, &mut buf.edges);
         }
-        let all_active = buf.activate(&mut *self.activation, t, self.robots.len());
+        let all_active =
+            fill_activation(&mut *self.activation, t, self.robots.len(), &mut buf.active);
         for (i, (robot, phase)) in self.robots.iter_mut().zip(&mut self.phases).enumerate() {
             let executed = (all_active || buf.active[i]).then(|| phase.kind());
             let present = || buf.present(&self.ring, probed, i, robot);
@@ -379,7 +284,7 @@ impl<A: Algorithm, D: AsyncDynamics> AsyncSimulator<A, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LocalDir;
+    use crate::{LocalDir, Oblivious};
     use dynring_graph::AlwaysPresent;
 
     /// Keeps its direction forever.
@@ -432,7 +337,7 @@ mod tests {
         let mut sim = AsyncSimulator::new(
             r.clone(),
             KeepDir,
-            ObliviousAsync::new(AlwaysPresent::new(r)),
+            Oblivious::new(AlwaysPresent::new(r)),
             vec![RobotPlacement::at(NodeId::new(0))],
         )
         .expect("valid setup");
@@ -455,7 +360,7 @@ mod tests {
     fn async_emulates_fsync_on_static_graphs() {
         // On a static ring (view staleness is harmless), 3 ASYNC ticks with
         // full activation = 1 FSYNC round.
-        use crate::{Oblivious, Simulator};
+        use crate::Simulator;
         let r = ring(6);
         let placements = vec![
             RobotPlacement::at(NodeId::new(0)),
@@ -471,7 +376,7 @@ mod tests {
         let mut asim = AsyncSimulator::new(
             r.clone(),
             KeepDir,
-            ObliviousAsync::new(AlwaysPresent::new(r)),
+            Oblivious::new(AlwaysPresent::new(r)),
             placements,
         )
         .expect("valid setup");
@@ -519,42 +424,21 @@ mod tests {
     fn move_blocker_schedule_is_connected_over_time() {
         // Capture what the blocker actually plays and certify it: each
         // edge is absent only during Move ticks of an adjacent robot.
+        use crate::Capturing;
         use dynring_graph::classes::{certify_connected_over_time, CotVerdict};
-        use dynring_graph::{ScriptedSchedule, TailBehavior};
-
-        struct CapturingAsync<D> {
-            inner: D,
-            frames: Vec<EdgeSet>,
-        }
-
-        impl<D: AsyncDynamics> AsyncDynamics for CapturingAsync<D> {
-            fn ring(&self) -> &RingTopology {
-                self.inner.ring()
-            }
-
-            fn edges_at(&mut self, obs: &AsyncObservation<'_>) -> EdgeSet {
-                let set = self.inner.edges_at(obs);
-                self.frames.push(set.clone());
-                set
-            }
-        }
+        use dynring_graph::TailBehavior;
 
         let r = ring(6);
-        let dynamics = CapturingAsync {
-            inner: MoveBlocker::new(r.clone()),
-            frames: Vec::new(),
-        };
         let mut sim = AsyncSimulator::new(
             r.clone(),
             Bounce,
-            dynamics,
+            Capturing::new(MoveBlocker::new(r)),
             vec![RobotPlacement::at(NodeId::new(1))],
         )
         .expect("valid setup");
         sim.run_collecting_visits(300);
-        let frames = std::mem::take(&mut sim.dynamics.frames);
-        let script = ScriptedSchedule::new(r, frames, TailBehavior::AllPresent)
-            .expect("frames from the same ring");
+        assert_eq!(sim.dynamics.frames().len(), 300);
+        let script = sim.dynamics.to_script(TailBehavior::AllPresent);
         let verdict = certify_connected_over_time(&script, 300, 4);
         assert!(
             matches!(verdict, CotVerdict::Certified { missing_edge: None, .. }),
@@ -564,7 +448,7 @@ mod tests {
 
     #[test]
     fn quiet_probe_ticks_match_recorded_ticks() {
-        // tick_quiet answers through AsyncDynamics::probe_edges; tick
+        // tick_quiet answers through Dynamics::probe_edges; tick
         // materializes the full snapshot. Both must agree — including for
         // the MoveBlocker, whose probe implementation is adaptive.
         use dynring_graph::BernoulliSchedule;
@@ -579,9 +463,7 @@ mod tests {
             AsyncSimulator::new(
                 r.clone(),
                 Bounce,
-                ObliviousAsync::new(
-                    BernoulliSchedule::new(r.clone(), 0.45, 31).expect("valid p"),
-                ),
+                Oblivious::new(BernoulliSchedule::new(r.clone(), 0.45, 31).expect("valid p")),
                 placements.clone(),
             )
             .expect("valid setup")
@@ -606,6 +488,52 @@ mod tests {
             recorded.tick();
             assert_eq!(quiet.positions(), recorded.positions());
         }
+    }
+
+    #[test]
+    fn the_adversary_sees_the_phases_pending_before_each_tick() {
+        // The ASYNC observation carries each robot's pending phase as it
+        // stands before the tick; the round simulator hands over none.
+        use crate::{AdaptiveFn, RoundRobinSingle, Simulator};
+        use std::cell::RefCell;
+
+        let r = ring(7);
+        let placements = vec![
+            RobotPlacement::at(NodeId::new(0)),
+            RobotPlacement::at(NodeId::new(3)),
+        ];
+        let seen = RefCell::new(Vec::new());
+        let record = |obs: &Observation<'_>| {
+            seen.borrow_mut().push(obs.phases().to_vec());
+            EdgeSet::full_for(obs.ring())
+        };
+        let mut sim = AsyncSimulator::new(
+            r.clone(),
+            Bounce,
+            AdaptiveFn::new(r.clone(), record),
+            placements.clone(),
+        )
+        .expect("valid setup");
+        // One robot per tick, so the two robots' phases drift apart.
+        sim.set_activation(RoundRobinSingle);
+        for tick in 0..30 {
+            let before = sim.phases();
+            if tick % 2 == 0 {
+                sim.tick();
+            } else {
+                sim.tick_quiet();
+            }
+            assert_eq!(seen.borrow().last(), Some(&before), "tick {tick}");
+        }
+        assert!(seen.borrow().iter().any(|p| p[0] != p[1]));
+
+        seen.borrow_mut().clear();
+        let mut round = Simulator::new(r.clone(), Bounce, AdaptiveFn::new(r, record), placements)
+            .expect("valid setup");
+        round.run(10);
+        round.step();
+        assert_eq!(seen.borrow().len(), 11);
+        assert!(seen.borrow().iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -644,7 +572,7 @@ mod tests {
         let mut sim = AsyncSimulator::new(
             r,
             Predictor,
-            ObliviousAsync::new(schedule),
+            Oblivious::new(schedule),
             vec![RobotPlacement::at(NodeId::new(0))],
         )
         .expect("valid setup");

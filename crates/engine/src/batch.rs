@@ -29,22 +29,19 @@
 //! proptests across the whole algorithm portfolio.
 //!
 //! Scheduling: FSYNC by default (the paper's model for all possibility
-//! results). [`BatchSimulator::set_activation`] installs a word-parallel
-//! SSYNC policy ([`crate::BatchActivation`]): each round every robot gets
-//! an activation word — one bit per lane, structurally identical to the
-//! presence words — and inactive lanes skip Look-Compute-Move exactly as
-//! the serial engine's inactive robots do. The built-in deterministic
-//! policies are lane-uniform, so a fully-inactive robot is skipped
-//! outright; lane-mixed words route through
-//! [`BatchAlgorithm::compute_word_masked`].
+//! results). [`BatchSimulator::set_activation`] installs the serial
+//! engines' [`ActivationPolicy`]: each round it yields one activation
+//! vector, applied in every lane, and an inactive robot skips
+//! Look-Compute-Move in every lane exactly as the serial engine skips it.
 
 use dynring_graph::{
     BernoulliReplicaBank, BernoulliReplicas, EdgeSchedule, EdgeSet, LaneWord, NodeId,
     RingTopology, Time,
 };
 
+use crate::ssync::fill_activation;
 use crate::{
-    BatchActivation, BatchAlgorithm, Chirality, EngineError, FullActivation, LocalDir, RobotId,
+    ActivationPolicy, BatchAlgorithm, Chirality, EngineError, FullActivation, LocalDir, RobotId,
     RobotPlacement, RobotSnapshot, ViewWords,
 };
 
@@ -271,10 +268,10 @@ pub struct BatchSimulator<A: BatchAlgorithm<W>, D: BatchDynamics<W>, W: LaneWord
     /// [`BatchSimulator::set_sparse_fill`] (clamped to the capability).
     sparse_fill: bool,
     /// The SSYNC activation policy ([`FullActivation`] by default).
-    activation: Box<dyn BatchActivation<W> + Send>,
-    /// Cached [`BatchActivation::is_full`] — the FSYNC fast path skips
-    /// activation words entirely.
-    activation_full: bool,
+    activation: Box<dyn ActivationPolicy + Send>,
+    /// This round's activation vector, filled only when not every robot
+    /// acts.
+    active: Vec<bool>,
 }
 
 /// Team sizes up to this bound detect towers by pairwise position
@@ -394,7 +391,7 @@ impl<A: BatchAlgorithm<W>, D: BatchDynamics<W>, W: LaneWord> BatchSimulator<A, D
             occ_touched: Vec::new(),
             sparse_fill,
             activation: Box::new(FullActivation),
-            activation_full: true,
+            active: Vec::new(),
         })
     }
 
@@ -417,14 +414,10 @@ impl<A: BatchAlgorithm<W>, D: BatchDynamics<W>, W: LaneWord> BatchSimulator<A, D
         self.sparse_fill = enabled && self.dynamics.supports_sparse_gather();
     }
 
-    /// Installs an SSYNC activation policy (word-parallel; FSYNC —
-    /// [`FullActivation`] — until called). Lane `l` of each robot's
-    /// activation word must match what the serial engine's
-    /// [`crate::ActivationPolicy`] would decide for that robot in that
-    /// lane's replica, which the built-in lane-uniform policies guarantee
-    /// by construction.
-    pub fn set_activation<P: BatchActivation<W> + Send + 'static>(&mut self, policy: P) {
-        self.activation_full = policy.is_full();
+    /// Installs an activation policy (FSYNC — [`FullActivation`] — until
+    /// called). Every lane plays the same policy, as each lane's serial
+    /// replica would.
+    pub fn set_activation<P: ActivationPolicy + Send + 'static>(&mut self, policy: P) {
         self.activation = Box::new(policy);
     }
 
@@ -624,17 +617,13 @@ impl<A: BatchAlgorithm<W>, D: BatchDynamics<W>, W: LaneWord> BatchSimulator<A, D
             }
         }
         self.compute_others();
+        let all_active = fill_activation(&mut *self.activation, t, k, &mut self.active);
         let n = self.ring.node_count() as u32;
         for r in 0..k {
-            let act = if self.activation_full {
-                W::ONES
-            } else {
-                self.activation.activation_word(t, k, r)
-            };
-            if act == W::ZERO {
-                // Fully inactive robot: exactly the serial engine's
-                // inactive branch — dir, moved-last-round, state and
-                // position all persist untouched.
+            if !all_active && !self.active[r] {
+                // Inactive robot: exactly the serial engine's inactive
+                // branch — dir, moved-last-round, state and position all
+                // persist untouched in every lane.
                 continue;
             }
             // Look: gather the two adjacent presence bits of every lane,
@@ -679,18 +668,11 @@ impl<A: BatchAlgorithm<W>, D: BatchDynamics<W>, W: LaneWord> BatchSimulator<A, D
                 edge_right,
                 others: self.others_words[r],
             };
-            // Compute: all lanes in one call; inactive lanes (if any)
-            // keep their direction bit and state through the masked form.
-            let dir_after = if act == W::ONES {
-                self.algorithm.compute_word(&mut self.states[r], &view)
-            } else {
-                self.algorithm
-                    .compute_word_masked(&mut self.states[r], &view, act)
-            };
+            // Compute: all lanes in one call.
+            let dir_after = self.algorithm.compute_word(&mut self.states[r], &view);
             // Move: cross the pointed edge iff present in the same
-            // snapshot — the adjacent edge in the *new* direction —
-            // restricted to the activated lanes.
-            let moved = ((dir_after & edge_right) | (!dir_after & edge_left)) & act;
+            // snapshot — the adjacent edge in the *new* direction.
+            let moved = (dir_after & edge_right) | (!dir_after & edge_left);
             // Lane set ⇔ the move (if any) goes globally clockwise.
             let cw_word = match self.chirality[r] {
                 Chirality::Standard => dir_after,
@@ -718,7 +700,7 @@ impl<A: BatchAlgorithm<W>, D: BatchDynamics<W>, W: LaneWord> BatchSimulator<A, D
                 }
             }
             self.dirs[r] = dir_after;
-            self.moved[r] = moved | (self.moved[r] & !act);
+            self.moved[r] = moved;
         }
         self.time += 1;
     }
@@ -1115,15 +1097,15 @@ mod tests {
         check::<Lanes256>();
     }
 
-    /// SSYNC lockstep: under the built-in lane-uniform activation
-    /// policies, every lane matches a serial run with the same policy —
-    /// at every arity, with a stateful fallback algorithm so frozen
-    /// states are also checked.
+    /// SSYNC lockstep: under the built-in activation policies, every
+    /// lane matches a serial run with the same policy — at every arity,
+    /// with a stateful fallback algorithm so frozen states are also
+    /// checked.
     #[test]
     fn ssync_activation_matches_serial_in_every_lane() {
         fn check<W: LaneWord, P>(make_policy: fn() -> P)
         where
-            P: crate::ActivationPolicy + BatchActivation<W> + Send + 'static,
+            P: crate::ActivationPolicy + Send + 'static,
         {
             let (n, k) = (9usize, 3usize);
             let r = ring(n);
@@ -1175,77 +1157,6 @@ mod tests {
         check::<u64, _>(|| EveryKth::new(2));
         check::<Lanes128, _>(|| RoundRobinSingle);
         check::<Lanes256, _>(|| EveryKth::new(3));
-    }
-
-    /// A deliberately lane-mixed activation policy: lane `l` activates
-    /// robot `r` at time `t` iff `(l + r + t)` is even. Forces the
-    /// masked compute path; each lane must still match a serial run
-    /// under the equivalent scalar policy.
-    #[derive(Clone, Copy)]
-    struct ParityMixed;
-
-    impl<W: LaneWord> BatchActivation<W> for ParityMixed {
-        fn activation_word(&mut self, time: Time, _robots: usize, robot: usize) -> W {
-            let mut word = W::ZERO;
-            for lane in 0..W::LANES {
-                word.set(lane, (lane + robot + time as usize).is_multiple_of(2));
-            }
-            word
-        }
-    }
-
-    /// The scalar view of one lane of [`ParityMixed`].
-    struct ParityLane(usize);
-
-    impl crate::ActivationPolicy for ParityLane {
-        fn activate(&mut self, time: Time, robots: usize) -> Vec<bool> {
-            (0..robots)
-                .map(|r| (self.0 + r + time as usize).is_multiple_of(2))
-                .collect()
-        }
-    }
-
-    #[test]
-    fn lane_mixed_activation_routes_through_the_masked_compute() {
-        let (n, k) = (9usize, 3usize);
-        let r = ring(n);
-        let replicas = BernoulliReplicas::new(r.clone(), 0.5, 7).expect("valid p");
-        let placements = spread(n, k);
-        let mut batch = BatchSimulator::new(
-            r.clone(),
-            PerLane(Bounce),
-            replicas.clone(),
-            placements.clone(),
-        )
-        .expect("valid setup");
-        batch.set_activation(ParityMixed);
-        for lane in [0u32, 1, 13, 63] {
-            let mut serial = Simulator::new(
-                r.clone(),
-                Bounce,
-                Oblivious::new(replicas.lane(lane)),
-                placements.clone(),
-            )
-            .expect("valid setup");
-            serial.set_activation(ParityLane(lane as usize));
-            let mut batch = BatchSimulator::new(
-                r.clone(),
-                PerLane(Bounce),
-                replicas.clone(),
-                placements.clone(),
-            )
-            .expect("valid setup");
-            batch.set_activation(ParityMixed);
-            for round in 0..40 {
-                batch.step();
-                serial.step_quiet();
-                assert_eq!(
-                    batch.lane_snapshots(lane),
-                    serial.snapshots(),
-                    "round {round} lane {lane}"
-                );
-            }
-        }
     }
 
     /// Exhaustive wraparound check of the adjacent-edge computation: at

@@ -3,8 +3,9 @@
 //! The paper's adversary is *online and adaptive*: it may pick the edges of
 //! `G_t` after observing the full configuration `γ_t` (robot positions and
 //! states) — this is exactly how the impossibility proofs operate. The
-//! [`Dynamics`] trait models that; [`Oblivious`] plugs in the pure
-//! time-indexed schedules of `dynring-graph`, [`Streamed`] plays its
+//! [`Dynamics`] trait models that, for the round simulator and the ASYNC
+//! simulator alike; [`Oblivious`] plugs in the pure time-indexed
+//! schedules of `dynring-graph`, [`Streamed`] plays its
 //! generated frame streams, [`Recurrent`] repairs any dynamics to a hard
 //! recurrence bound online, and [`Capturing`] records the
 //! emitted snapshots so adaptive runs can be replayed as pure schedules
@@ -15,11 +16,12 @@ use dynring_graph::{
     EdgeId, EdgeSchedule, EdgeSet, NodeId, RingTopology, ScriptedSchedule, TailBehavior, Time,
 };
 
+use crate::async_exec::PhaseKind;
 use crate::RobotSnapshot;
 
 /// What the adversary sees before choosing `G_t`: the time and the full
 /// configuration `γ_t` (positions, directions, chirality, moved-flags of
-/// every robot).
+/// every robot) and, under ASYNC, each robot's pending phase.
 ///
 /// Algorithm-internal state is *not* exposed; the paper's adversaries never
 /// need it (they know the deterministic algorithm and can simulate it).
@@ -28,12 +30,24 @@ pub struct Observation<'a> {
     time: Time,
     ring: &'a RingTopology,
     robots: &'a [RobotSnapshot],
+    phases: &'a [PhaseKind],
 }
 
 impl<'a> Observation<'a> {
-    /// Assembles an observation.
+    /// Assembles an observation with no pending phases (the round models).
     pub fn new(time: Time, ring: &'a RingTopology, robots: &'a [RobotSnapshot]) -> Self {
-        Observation { time, ring, robots }
+        Observation {
+            time,
+            ring,
+            robots,
+            phases: &[],
+        }
+    }
+
+    /// The same observation with each robot's pending ASYNC phase, in
+    /// robot-id order: what the phase-split simulator hands the adversary.
+    pub fn with_phases(self, phases: &'a [PhaseKind]) -> Self {
+        Observation { phases, ..self }
     }
 
     /// Current time `t` (the snapshot being chosen is `G_t`).
@@ -49,6 +63,13 @@ impl<'a> Observation<'a> {
     /// All robot snapshots, in robot-id order.
     pub fn robots(&self) -> &'a [RobotSnapshot] {
         self.robots
+    }
+
+    /// Each robot's pending phase, in robot-id order, under ASYNC (the
+    /// classical ASYNC adversary knows who is about to move); empty under
+    /// the round models.
+    pub fn phases(&self) -> &'a [PhaseKind] {
+        self.phases
     }
 
     /// Number of robots standing on `node`.
@@ -103,27 +124,28 @@ impl EdgeProbe {
     }
 }
 
-/// The adversary: chooses the snapshot `G_t` each round, possibly adaptively.
+/// The adversary: chooses the snapshot `G_t` each round, possibly
+/// adaptively. One trait serves both serial engines: the round simulator
+/// asks once per round, the ASYNC phase-split simulator once per tick,
+/// with the pending phases in the [`Observation`].
 pub trait Dynamics {
     /// The ring whose edges are being scheduled.
     fn ring(&self) -> &RingTopology;
 
-    /// Chooses the edge set of `G_t` given the observation of `γ_t`.
+    /// Chooses `G_t` given the observation of `γ_t` and writes it into
+    /// `out`, overwriting whatever `out` held.
     ///
-    /// Called exactly once per round, with strictly increasing times, so
-    /// implementations may keep sequential state.
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet;
+    /// The engine calls **exactly one** of [`Dynamics::probe_edges`] and
+    /// `edges_at_into` per round (or ASYNC tick), with strictly increasing
+    /// times, so implementations may keep sequential state.
+    fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet);
 
-    /// Writes the snapshot `G_t` into `out` without allocating.
-    ///
-    /// The round engine calls this (never [`Dynamics::edges_at`]) so a
-    /// pooled scratch set is reused across rounds. The default delegates to
-    /// `edges_at`; allocation-free adversaries override it and exactly one
-    /// of the two methods must carry the real choice logic per
-    /// implementation (the paper's adversaries implement `edges_at_into`
-    /// and derive `edges_at` from it).
-    fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
-        *out = self.edges_at(obs);
+    /// A convenience for callers: [`Dynamics::edges_at_into`] into a fresh
+    /// set. Implementations do not override it.
+    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
+        let mut set = EdgeSet::empty_for(self.ring());
+        self.edges_at_into(obs, &mut set);
+        set
     }
 
     /// The sparse fast path: answers point presence queries about `G_t`
@@ -137,10 +159,10 @@ pub trait Dynamics {
     /// snapshot scan is skipped entirely: the per-round cost becomes
     /// O(robots), independent of ring size.
     ///
-    /// The contract mirrors [`Dynamics::edges_at_into`]: the engine calls
-    /// **exactly one** of `probe_edges` / `edges_at_into` per round, with
-    /// strictly increasing times, and the answers must agree with what
-    /// `edges_at_into` would have produced for the same observation.
+    /// The engine calls **exactly one** of `probe_edges` /
+    /// [`Dynamics::edges_at_into`] per round, with strictly increasing
+    /// times, and the answers must agree with what `edges_at_into` would
+    /// have produced for the same observation.
     ///
     /// The default returns `false` **without touching queries or state** —
     /// "unsupported, fall back to `edges_at_into` for this round" — so
@@ -158,10 +180,6 @@ impl<D: Dynamics + ?Sized> Dynamics for &mut D {
         (**self).ring()
     }
 
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        (**self).edges_at(obs)
-    }
-
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
         (**self).edges_at_into(obs, out);
     }
@@ -174,10 +192,6 @@ impl<D: Dynamics + ?Sized> Dynamics for &mut D {
 impl<D: Dynamics + ?Sized> Dynamics for Box<D> {
     fn ring(&self) -> &RingTopology {
         (**self).ring()
-    }
-
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        (**self).edges_at(obs)
     }
 
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
@@ -218,10 +232,6 @@ impl<S: EdgeSchedule> Dynamics for Oblivious<S> {
         self.schedule.ring()
     }
 
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        self.schedule.edges_at(obs.time())
-    }
-
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
         self.schedule.edges_at_into(obs.time(), out);
     }
@@ -237,41 +247,27 @@ impl<S: EdgeSchedule> Dynamics for Oblivious<S> {
     /// of re-running the slice ladder per probe. Schedules without word
     /// access fall back to per-probe [`EdgeSchedule::is_present`].
     fn probe_edges(&mut self, obs: &Observation<'_>, queries: &mut [EdgeProbe]) -> bool {
-        answer_probes_from_schedule(&self.schedule, obs.time(), queries);
-        true
-    }
-}
-
-/// Answers point presence queries against a pure schedule, one 64-edge
-/// word at a time when the schedule has word-level random access
-/// ([`EdgeSchedule::sampled_presence_word`]) and per-probe
-/// [`EdgeSchedule::is_present`] otherwise. The single-word memo exploits
-/// the probe layout: the two adjacent-edge probes of one robot share a
-/// word unless the robot sits on a word boundary. Shared by
-/// [`Oblivious`] and the ASYNC `ObliviousAsync`.
-pub(crate) fn answer_probes_from_schedule<S: EdgeSchedule>(
-    schedule: &S,
-    t: dynring_graph::Time,
-    queries: &mut [EdgeProbe],
-) {
-    let mut memo: Option<(usize, u64)> = None;
-    for q in queries.iter_mut() {
-        let index = q.edge.index();
-        let word = index / 64;
-        let bits = match memo {
-            Some((w, bits)) if w == word => Some(bits),
-            _ => {
-                let sampled = schedule.sampled_presence_word(t, word);
-                if let Some(bits) = sampled {
-                    memo = Some((word, bits));
+        let (schedule, t) = (&self.schedule, obs.time());
+        let mut memo: Option<(usize, u64)> = None;
+        for q in queries.iter_mut() {
+            let index = q.edge.index();
+            let word = index / 64;
+            let bits = match memo {
+                Some((w, bits)) if w == word => Some(bits),
+                _ => {
+                    let sampled = schedule.sampled_presence_word(t, word);
+                    if let Some(bits) = sampled {
+                        memo = Some((word, bits));
+                    }
+                    sampled
                 }
-                sampled
-            }
-        };
-        q.present = match bits {
-            Some(bits) => (bits >> (index % 64)) & 1 == 1,
-            None => schedule.is_present(q.edge, t),
-        };
+            };
+            q.present = match bits {
+                Some(bits) => (bits >> (index % 64)) & 1 == 1,
+                None => schedule.is_present(q.edge, t),
+            };
+        }
+        true
     }
 }
 
@@ -316,12 +312,6 @@ impl<D: Dynamics> Dynamics for Recurrent<D> {
         self.inner.ring()
     }
 
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        let mut set = EdgeSet::empty_for(self.inner.ring());
-        self.edges_at_into(obs, &mut set);
-        set
-    }
-
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
         self.inner.edges_at_into(obs, out);
         self.repair.apply(out);
@@ -337,12 +327,6 @@ pub struct Streamed<S>(pub S);
 impl<S: FrameStream> Dynamics for Streamed<S> {
     fn ring(&self) -> &RingTopology {
         self.0.ring()
-    }
-
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        let mut set = EdgeSet::empty_for(self.0.ring());
-        self.edges_at_into(obs, &mut set);
-        set
     }
 
     fn edges_at_into(&mut self, _obs: &Observation<'_>, out: &mut EdgeSet) {
@@ -390,12 +374,6 @@ impl<D: Dynamics> Dynamics for Capturing<D> {
         self.inner.ring()
     }
 
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        let set = self.inner.edges_at(obs);
-        self.frames.push(set.clone());
-        set
-    }
-
     fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
         // Recording inherently allocates one frame per round; the inner
         // adversary still runs allocation-free.
@@ -423,8 +401,8 @@ impl<F: FnMut(&Observation<'_>) -> EdgeSet> Dynamics for AdaptiveFn<F> {
         &self.ring
     }
 
-    fn edges_at(&mut self, obs: &Observation<'_>) -> EdgeSet {
-        (self.f)(obs)
+    fn edges_at_into(&mut self, obs: &Observation<'_>, out: &mut EdgeSet) {
+        *out = (self.f)(obs);
     }
 }
 

@@ -26,8 +26,12 @@
 //!
 //! The adversary picks `G_t` *before* the round, but may do so adaptively,
 //! after observing the full configuration `γ_t` (an [`Observation`]); see
-//! [`Dynamics`]. Oblivious schedules from `dynring-graph` plug in through
-//! [`Oblivious`].
+//! [`Dynamics`]. One `Dynamics` serves both simulators: the ASYNC
+//! simulator asks it once per tick, with each robot's pending phase in the
+//! observation. Oblivious schedules from `dynring-graph` plug into either
+//! through [`Oblivious`]. Which robots act is the adversary's other
+//! choice, one [`ActivationPolicy`] for the round, ASYNC and batch
+//! engines alike.
 //!
 //! # Example
 //!
@@ -92,7 +96,7 @@ pub use error::EngineError;
 pub use robot::{RobotId, RobotPlacement, RobotSnapshot};
 pub use round::{round, Robot};
 pub use simulator::{CoverTracker, Simulator};
-pub use ssync::{ActivationPolicy, BatchActivation, EveryKth, FullActivation, RoundRobinSingle};
+pub use ssync::{ActivationPolicy, EveryKth, FullActivation, RoundRobinSingle};
 pub use trace::{ExecutionTrace, RobotRound, RoundRecord, Tower};
 pub use view::{View, ViewWords};
 

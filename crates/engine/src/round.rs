@@ -6,11 +6,10 @@
 //! [`crate::async_exec::AsyncSimulator`] runs its Look and Move halves
 //! ([`Robot::look`], [`Robot::cross`]) as separate ASYNC phases.
 
-use dynring_graph::{EdgeId, EdgeSet, NodeId, RingTopology, Time};
+use dynring_graph::{EdgeId, EdgeSet, NodeId, RingTopology};
 
 use crate::{
-    ActivationPolicy, Algorithm, Chirality, EdgeProbe, LocalDir, RobotId, RobotPlacement,
-    RobotSnapshot, View,
+    Algorithm, Chirality, EdgeProbe, LocalDir, RobotId, RobotPlacement, RobotSnapshot, View,
 };
 
 /// One robot as a round reads and writes it.
@@ -218,22 +217,6 @@ impl RoundBuffers {
                 *count += 1;
             }
         }
-    }
-
-    /// Fills the activation vector for round `t` unless `policy` activates
-    /// everyone; returns whether it does.
-    pub(crate) fn activate(
-        &mut self,
-        policy: &mut dyn ActivationPolicy,
-        t: Time,
-        k: usize,
-    ) -> bool {
-        let all = policy.is_full();
-        if !all {
-            policy.activate_into(t, k, &mut self.active);
-            debug_assert_eq!(self.active.len(), k);
-        }
-        all
     }
 
     /// Robot `i`'s (left, right) answers in `G_t`: its two probes when

@@ -3,6 +3,7 @@
 use dynring_graph::{GlobalDir, NodeId, RingTopology, Time};
 
 use crate::round::{round_each, Robot, RoundBuffers};
+use crate::ssync::fill_activation;
 use crate::{
     ActivationPolicy, Algorithm, Dynamics, EngineError, ExecutionTrace, FullActivation, LocalDir,
     Observation, RobotId, RobotPlacement, RobotRound, RobotSnapshot, RoundRecord,
@@ -306,7 +307,8 @@ impl<A: Algorithm, D: Dynamics> Simulator<A, D> {
         if !probed {
             self.dynamics.edges_at_into(&obs, &mut buf.edges);
         }
-        let all_active = buf.activate(&mut *self.activation, t, self.robots.len());
+        let all_active =
+            fill_activation(&mut *self.activation, t, self.robots.len(), &mut buf.active);
         let (ring, buf) = (&self.ring, &*buf);
         round_each(
             ring,

@@ -7,8 +7,13 @@
 //! proved exploration of dynamic rings impossible under SSYNC — which is why
 //! the paper restricts itself to FSYNC; `dynring-adversary` replays that
 //! impossibility with these policies.
+//!
+//! One [`ActivationPolicy`] serves every engine: the round simulator, the
+//! ASYNC phase-split simulator (one phase per activated robot per tick)
+//! and the lane-parallel batch engine, which applies the round's one
+//! activation vector in every lane.
 
-use dynring_graph::{LaneWord, Time};
+use dynring_graph::Time;
 
 /// Decides which robots are activated each round.
 ///
@@ -17,33 +22,46 @@ use dynring_graph::{LaneWord, Time};
 /// scheduler activates every robot infinitely often; policies in this module
 /// are all fair.
 pub trait ActivationPolicy {
-    /// Activation vector for round `time` over `robots` robots.
-    fn activate(&mut self, time: Time, robots: usize) -> Vec<bool>;
+    /// Writes the activation vector for round `time` over `robots` robots
+    /// into `out`, replacing its contents: robot `i` acts iff `out[i]`.
+    /// The engines call it once per round unless
+    /// [`ActivationPolicy::is_full`].
+    fn activate_into(&mut self, time: Time, robots: usize, out: &mut Vec<bool>);
 
-    /// Writes the activation vector into `out` without allocating.
-    ///
-    /// The round engine calls this; the default delegates to
-    /// [`ActivationPolicy::activate`]. Built-in policies override it to
-    /// keep the hot path allocation-free.
-    fn activate_into(&mut self, time: Time, robots: usize, out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(self.activate(time, robots));
+    /// A convenience for callers: [`ActivationPolicy::activate_into`] into
+    /// a fresh vector. Implementations do not override it.
+    fn activate(&mut self, time: Time, robots: usize) -> Vec<bool> {
+        let mut out = Vec::with_capacity(robots);
+        self.activate_into(time, robots, &mut out);
+        out
     }
 
     /// `true` when this policy activates every robot every round (FSYNC).
-    /// The round engine uses it to skip activation bookkeeping entirely on
-    /// the hot path; policies that ever skip a robot must return `false`
-    /// (the default).
+    /// The engines use it to skip activation bookkeeping entirely on the
+    /// hot path; policies that ever skip a robot must return `false` (the
+    /// default).
     fn is_full(&self) -> bool {
         false
     }
 }
 
-impl<P: ActivationPolicy + ?Sized> ActivationPolicy for Box<P> {
-    fn activate(&mut self, time: Time, robots: usize) -> Vec<bool> {
-        (**self).activate(time, robots)
+/// Fills `active` for round `t` over `k` robots unless `policy` activates
+/// everyone; returns whether it does. Every engine asks its policy here.
+pub(crate) fn fill_activation(
+    policy: &mut dyn ActivationPolicy,
+    t: Time,
+    k: usize,
+    active: &mut Vec<bool>,
+) -> bool {
+    let all = policy.is_full();
+    if !all {
+        policy.activate_into(t, k, active);
+        debug_assert_eq!(active.len(), k);
     }
+    all
+}
 
+impl<P: ActivationPolicy + ?Sized> ActivationPolicy for Box<P> {
     fn activate_into(&mut self, time: Time, robots: usize, out: &mut Vec<bool>) {
         (**self).activate_into(time, robots, out);
     }
@@ -58,10 +76,6 @@ impl<P: ActivationPolicy + ?Sized> ActivationPolicy for Box<P> {
 pub struct FullActivation;
 
 impl ActivationPolicy for FullActivation {
-    fn activate(&mut self, _time: Time, robots: usize) -> Vec<bool> {
-        vec![true; robots]
-    }
-
     fn activate_into(&mut self, _time: Time, robots: usize, out: &mut Vec<bool>) {
         out.clear();
         out.resize(robots, true);
@@ -78,14 +92,6 @@ impl ActivationPolicy for FullActivation {
 pub struct RoundRobinSingle;
 
 impl ActivationPolicy for RoundRobinSingle {
-    fn activate(&mut self, time: Time, robots: usize) -> Vec<bool> {
-        let mut v = vec![false; robots];
-        if robots > 0 {
-            v[(time % robots as Time) as usize] = true;
-        }
-        v
-    }
-
     fn activate_into(&mut self, time: Time, robots: usize, out: &mut Vec<bool>) {
         out.clear();
         out.resize(robots, false);
@@ -120,70 +126,15 @@ impl EveryKth {
 }
 
 impl ActivationPolicy for EveryKth {
-    fn activate(&mut self, time: Time, robots: usize) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.activate_into(time, robots, &mut out);
-        out
-    }
-
     fn activate_into(&mut self, time: Time, robots: usize, out: &mut Vec<bool>) {
         out.clear();
         out.extend((0..robots).map(|i| (i as Time) % self.k == time % self.k));
     }
 }
 
-/// The word-parallel form of [`ActivationPolicy`] for the batch engine:
-/// one activation bit per robot per lane, structurally identical to the
-/// presence words. Lane `l` of [`BatchActivation::activation_word`] must
-/// equal what [`ActivationPolicy::activate`] returns for the same
-/// `(time, robots, robot)` — the serial-equivalence contract extended to
-/// scheduling.
-///
-/// The built-in deterministic policies ([`FullActivation`],
-/// [`RoundRobinSingle`], [`EveryKth`]) are *lane-uniform*: every lane
-/// activates the same robots, so their words are all-ones or all-zeros
-/// and the engine can skip a fully-inactive robot outright. Lane-mixed
-/// policies are allowed; they route through
-/// [`crate::BatchAlgorithm::compute_word_masked`].
-pub trait BatchActivation<W: LaneWord = u64> {
-    /// The activation word of `robot` at round `time` over `robots`
-    /// robots: lane `l` set ⇔ replica `l` activates this robot.
-    fn activation_word(&mut self, time: Time, robots: usize, robot: usize) -> W;
-
-    /// `true` when every robot activates in every lane every round
-    /// (FSYNC). Mirrors [`ActivationPolicy::is_full`]: the batch engine
-    /// uses it to skip activation words entirely.
-    fn is_full(&self) -> bool {
-        false
-    }
-}
-
-impl<W: LaneWord> BatchActivation<W> for FullActivation {
-    fn activation_word(&mut self, _time: Time, _robots: usize, _robot: usize) -> W {
-        W::ONES
-    }
-
-    fn is_full(&self) -> bool {
-        true
-    }
-}
-
-impl<W: LaneWord> BatchActivation<W> for RoundRobinSingle {
-    fn activation_word(&mut self, time: Time, robots: usize, robot: usize) -> W {
-        W::splat(robots > 0 && (time % robots as Time) as usize == robot)
-    }
-}
-
-impl<W: LaneWord> BatchActivation<W> for EveryKth {
-    fn activation_word(&mut self, time: Time, _robots: usize, robot: usize) -> W {
-        W::splat((robot as Time) % self.k == time % self.k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynring_graph::{Lanes128, Lanes256};
 
     #[test]
     fn full_activation_activates_everyone() {
@@ -227,33 +178,5 @@ mod tests {
     #[should_panic(expected = "modulus must be at least 1")]
     fn every_kth_rejects_zero() {
         let _ = EveryKth::new(0);
-    }
-
-    fn words_match_scalar<W: LaneWord, P: ActivationPolicy + BatchActivation<W> + Clone>(p: &P) {
-        let mut scalar = p.clone();
-        let mut batch = p.clone();
-        for t in 0..24 {
-            let robots = 1 + (t as usize % 5);
-            let bits = scalar.activate(t, robots);
-            for (robot, &on) in bits.iter().enumerate() {
-                let word = batch.activation_word(t, robots, robot);
-                assert_eq!(
-                    word,
-                    W::splat(on),
-                    "t={t} robots={robots} robot={robot}: built-in policies are lane-uniform"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn activation_words_match_the_scalar_policies_at_every_arity() {
-        words_match_scalar::<u64, _>(&FullActivation);
-        words_match_scalar::<u64, _>(&RoundRobinSingle);
-        words_match_scalar::<u64, _>(&EveryKth::new(3));
-        words_match_scalar::<Lanes128, _>(&RoundRobinSingle);
-        words_match_scalar::<Lanes256, _>(&EveryKth::new(2));
-        assert!(BatchActivation::<u64>::is_full(&FullActivation));
-        assert!(!BatchActivation::<Lanes256>::is_full(&RoundRobinSingle));
     }
 }

@@ -173,7 +173,7 @@ proptest! {
         spec in proptest::collection::vec((0usize..10, any::<bool>(), any::<bool>()), 1..4),
         rounds in 1u64..40,
     ) {
-        use dynring_engine::async_exec::{AsyncSimulator, ObliviousAsync};
+        use dynring_engine::async_exec::AsyncSimulator;
         use dynring_graph::AlwaysPresent;
 
         let ring = RingTopology::new(n).expect("valid ring");
@@ -189,7 +189,7 @@ proptest! {
         let mut asim = AsyncSimulator::new(
             ring.clone(),
             Churn,
-            ObliviousAsync::new(AlwaysPresent::new(ring)),
+            Oblivious::new(AlwaysPresent::new(ring)),
             pls,
         )
         .expect("valid setup");

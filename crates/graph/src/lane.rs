@@ -10,7 +10,7 @@
 //!
 //! The plane decomposition is load-bearing for determinism: lane `l` of
 //! a wide word is lane `l % 64` of plane `l / 64`, and every consumer
-//! (presence streams, activation words, coverage) derives its per-plane
+//! (presence streams, view and move words, coverage) derives its per-plane
 //! state so that plane `w` of an `N`-plane run is bit-for-bit the
 //! 64-lane run of the `w`-th seed block. Widening the arity therefore
 //! never changes what any single replica computes.

@@ -41,11 +41,12 @@ bench-report:
 # bit-identity tests pinning lane l of every arity (64/128/256) and of
 # the batch-routed SSYNC units to the serial engine, the capability-based
 # route dispatch, the cross-arity proptests, and a 256-replica Monte
-# Carlo sweep driven through the auto-arity dispatch.
+# Carlo sweep driven through the auto-arity dispatch. A filtered line
+# fails when its filters select no test.
 batch-arity-smoke:
-    cargo test -q -p dynring-analysis --lib -- arity ragged ssync
-    cargo test -q -p dynring-engine --lib -- arity sparse_fill ssync wide
-    cargo test -q -p dynring-campaign --lib -- routing batch_route ssync
+    sh scripts/test-nonempty.sh -q -p dynring-analysis --lib -- arity ragged ssync
+    sh scripts/test-nonempty.sh -q -p dynring-engine --lib -- arity sparse_fill ssync wide
+    sh scripts/test-nonempty.sh -q -p dynring-campaign --lib -- routing batch_route ssync
     cargo test -q -p dynring-core --test batch_equivalence
     cargo run --release -- montecarlo --n 16 --k 3 --p 0.5 --replicas 256 --horizon 2000 --seed 7
 

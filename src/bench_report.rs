@@ -37,7 +37,7 @@
 //! of n = 64 in the same run); v6 (this PR) adds the wide-arity batch
 //! workloads (`bernoulli-batch-128`/`-256` over seeded replica banks)
 //! and the SSYNC batch workload (`bernoulli-batch-ssync`, round-robin
-//! activation words), all gated against committed figures by the same
+//! activation), all gated against committed figures by the same
 //! per-`(workload, n, k)` matching once a v6 snapshot is committed, and
 //! extends the flatness gate to the 256-lane workload.
 
@@ -114,7 +114,7 @@ pub struct BatchSample {
     /// Workload label (`bernoulli-batch` for the 64-lane FSYNC engine,
     /// `bernoulli-batch-128`/`-256` for the wide arities over seeded
     /// replica banks, `bernoulli-batch-ssync` for the 64-lane engine
-    /// under round-robin activation words).
+    /// under round-robin activation).
     pub workload: String,
     /// Ring size `n`.
     pub ring_size: usize,
@@ -352,8 +352,8 @@ pub fn collect(quick: bool) -> BenchReport {
             serial_bank_lane_sims::<Lanes256>(n, k, BERNOULLI_P),
         ));
     }
-    // The SSYNC batch route: round-robin activation words against the
-    // serial engine under the same policy.
+    // The SSYNC batch route: round-robin activation in every lane
+    // against the serial engine under the same policy.
     for (n, k) in [(64usize, 3usize), (1024, 3)] {
         batch.push(sample_batch::<_, u64>(
             "bernoulli-batch-ssync",

@@ -8,7 +8,7 @@
 //!    even for a single robot facing a connected-over-time adversary.
 
 use dynring::analysis::VisitLedger;
-use dynring::engine::async_exec::{AsyncSimulator, MoveBlocker, ObliviousAsync};
+use dynring::engine::async_exec::{AsyncSimulator, MoveBlocker};
 use dynring::engine::{Oblivious, RobotPlacement, Simulator};
 use dynring::graph::generators::{self, RandomCotConfig};
 use dynring::graph::EdgeId;
@@ -143,7 +143,7 @@ fn synchrony_hierarchy_fsync_vs_async() {
     let mut benign = AsyncSimulator::new(
         ring.clone(),
         Pef3Plus,
-        ObliviousAsync::new(dynring::graph::AlwaysPresent::new(ring)),
+        Oblivious::new(dynring::graph::AlwaysPresent::new(ring)),
         placements,
     )
     .expect("valid setup");
