@@ -116,60 +116,63 @@ pub fn aggregate(plan: &CampaignPlan, records: &[UnitRecord]) -> CampaignReport 
             by_slot[slot].get_or_insert(record);
         }
     }
-    let mut batch_units = 0usize;
-    let mut batch_units_by_arity: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut serial_units = 0usize;
-    let mut total_replicas = 0usize;
-    let mut covered_replicas = 0usize;
-
-    struct Acc {
-        units: usize,
-        replicas: usize,
-        covered: usize,
-        total_cover_time: u64,
-        min: Option<Time>,
-        max: Option<Time>,
-        unit_survivals: Vec<f64>,
+    let mut fold = ReportFold::default();
+    for (slot, record) in by_slot.into_iter().enumerate() {
+        if let Some(record) = record {
+            fold.add(slot, record);
+        }
     }
-    let mut groups: BTreeMap<(String, String, String), Acc> = BTreeMap::new();
-    // Iterate in plan order so the per-group survival vectors (and with
-    // them the medians) are deterministic. Track whether the completed
-    // units form a plan prefix — a gap followed by more records marks a
-    // mid-plan slice (an unmerged shard store).
-    let mut gap_seen = false;
-    let mut plan_prefix = true;
-    for record in by_slot {
-        let Some(record) = record else {
-            gap_seen = true;
-            continue;
-        };
-        if gap_seen {
-            plan_prefix = false;
-        }
+    fold.finish(plan)
+}
+
+/// One group's running sums.
+#[derive(Default)]
+struct Acc {
+    units: usize,
+    replicas: usize,
+    covered: usize,
+    total_cover_time: u64,
+    min: Option<Time>,
+    max: Option<Time>,
+    unit_survivals: Vec<f64>,
+}
+
+/// The report as a fold over records handed to it in plan order, each
+/// with its plan slot: [`aggregate`] feeds it from a slice, `load_report`
+/// straight from the store as each record is verified. Plan order keeps
+/// the per-group survival vectors (and with them the medians)
+/// deterministic.
+#[derive(Default)]
+pub(crate) struct ReportFold {
+    completed_units: usize,
+    batch_units: usize,
+    batch_units_by_arity: BTreeMap<u64, usize>,
+    total_replicas: usize,
+    covered_replicas: usize,
+    /// Whether a record followed an empty plan slot: a mid-plan slice
+    /// (an unmerged shard store) rather than a plan prefix.
+    after_gap: bool,
+    groups: BTreeMap<(&'static str, &'static str, &'static str), Acc>,
+}
+
+impl ReportFold {
+    /// Folds in `record`, the record of plan unit `slot`; slots must
+    /// increase from call to call.
+    pub(crate) fn add(&mut self, slot: usize, record: &UnitRecord) {
+        // Every earlier slot is filled iff `slot` records came before.
+        self.after_gap |= slot != self.completed_units;
+        self.completed_units += 1;
         if record.route == "batch" {
-            batch_units += 1;
+            self.batch_units += 1;
             if let Some(arity) = route_unit(&record.unit).arity() {
-                *batch_units_by_arity.entry(arity.lanes() as u64).or_insert(0) += 1;
+                *self.batch_units_by_arity.entry(arity.lanes() as u64).or_insert(0) += 1;
             }
-        } else {
-            serial_units += 1;
         }
-        total_replicas += record.result.replicas;
-        covered_replicas += record.result.covered;
-        let key = (
-            record.unit.algorithm.name().to_string(),
-            record.unit.dynamics.name().to_string(),
-            record.unit.scheduler.name().to_string(),
-        );
-        let acc = groups.entry(key).or_insert(Acc {
-            units: 0,
-            replicas: 0,
-            covered: 0,
-            total_cover_time: 0,
-            min: None,
-            max: None,
-            unit_survivals: Vec::new(),
-        });
+        self.total_replicas += record.result.replicas;
+        self.covered_replicas += record.result.covered;
+        let unit = &record.unit;
+        let key = (unit.algorithm.name(), unit.dynamics.name(), unit.scheduler.name());
+        let acc = self.groups.entry(key).or_default();
         acc.units += 1;
         acc.replicas += record.result.replicas;
         acc.covered += record.result.covered;
@@ -184,48 +187,52 @@ pub fn aggregate(plan: &CampaignPlan, records: &[UnitRecord]) -> CampaignReport 
         };
         acc.unit_survivals.push(record.result.survival_rate());
     }
-    let completed_units = batch_units + serial_units;
-    let groups = groups
-        .into_iter()
-        .map(|((algorithm, dynamics, scheduler), acc)| CampaignGroup {
-            algorithm,
-            dynamics,
-            scheduler,
-            units: acc.units,
-            replicas: acc.replicas,
-            covered: acc.covered,
-            survival_rate: if acc.replicas == 0 {
-                0.0
-            } else {
-                acc.covered as f64 / acc.replicas as f64
-            },
-            mean_cover_time: if acc.covered == 0 {
-                0.0
-            } else {
-                acc.total_cover_time as f64 / acc.covered as f64
-            },
-            min_cover_time: acc.min,
-            max_cover_time: acc.max,
-            unit_survival: Summary::of(&acc.unit_survivals),
-        })
-        .collect();
-    CampaignReport {
-        name: plan.name.clone(),
-        spec_hash: plan.spec_hash.clone(),
-        planned_units: plan.units.len(),
-        completed_units,
-        batch_units,
-        batch_units_by_arity,
-        serial_units,
-        total_replicas,
-        covered_replicas,
-        // Store-level facts; `load_report` overrides them from the load.
-        torn_tail: false,
-        torn_bytes: 0,
-        sealed: false,
-        partial: completed_units < plan.units.len(),
-        plan_prefix,
-        groups,
+
+    /// The report of `plan` over the records folded in.
+    pub(crate) fn finish(self, plan: &CampaignPlan) -> CampaignReport {
+        let groups = self
+            .groups
+            .into_iter()
+            .map(|((algorithm, dynamics, scheduler), acc)| CampaignGroup {
+                algorithm: algorithm.to_string(),
+                dynamics: dynamics.to_string(),
+                scheduler: scheduler.to_string(),
+                units: acc.units,
+                replicas: acc.replicas,
+                covered: acc.covered,
+                survival_rate: if acc.replicas == 0 {
+                    0.0
+                } else {
+                    acc.covered as f64 / acc.replicas as f64
+                },
+                mean_cover_time: if acc.covered == 0 {
+                    0.0
+                } else {
+                    acc.total_cover_time as f64 / acc.covered as f64
+                },
+                min_cover_time: acc.min,
+                max_cover_time: acc.max,
+                unit_survival: Summary::of(&acc.unit_survivals),
+            })
+            .collect();
+        CampaignReport {
+            name: plan.name.clone(),
+            spec_hash: plan.spec_hash.clone(),
+            planned_units: plan.units.len(),
+            completed_units: self.completed_units,
+            batch_units: self.batch_units,
+            batch_units_by_arity: self.batch_units_by_arity,
+            serial_units: self.completed_units - self.batch_units,
+            total_replicas: self.total_replicas,
+            covered_replicas: self.covered_replicas,
+            // Store-level facts; `load_report` overrides them from the read.
+            torn_tail: false,
+            torn_bytes: 0,
+            sealed: false,
+            partial: self.completed_units < plan.units.len(),
+            plan_prefix: !self.after_gap,
+            groups,
+        }
     }
 }
 

@@ -1,28 +1,32 @@
 //! `dynring certify`: after-the-fact verification of a campaign store as
 //! a replay bundle.
 //!
-//! Level 1 is *structural*: the whole file is re-scanned and every line
-//! re-verified as it is parsed — header present, every record's content
-//! hash, digest and chain link recomputed, ordering checked, the seal
-//! validated, and the header and records bound to the plan by the check
-//! every store reader shares — without executing anything.
+//! Level 1 is *structural*: one bounded pass re-verifies every line as
+//! it is read — header present, every record's content hash, digest and
+//! chain link recomputed, ordering checked, the seal validated, and the
+//! header and records bound to the plan by the check every store reader
+//! shares — without executing anything or keeping the records.
 //! Level 2 adds *behavioral* spot-checks: a deterministic sample of
-//! units (seeded, both routes covered when both are present) is
-//! re-executed from scratch and the fresh measurements are compared
-//! field-by-field against the stored ones.
+//! units (seeded, both routes covered when both are present) is read in
+//! a second pass, re-executed from scratch, and the fresh measurements
+//! are compared field-by-field against the stored ones.
 //!
 //! Unlike [`ResultStore::load`], which refuses at the first problem,
 //! certification collects *every* divergence: one greppable
 //! `CERTIFY-FAIL unit=… field=… expected=… got=…` line each, plus a
 //! machine-readable [`CertifyVerdict`]. See `docs/CERTIFY.md`.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use dynring_analysis::seeds::sample_indices;
 
-use crate::executor::{execute_unit, route_unit};
+use crate::executor::{execute_unit, route_unit, UnitRecord};
 use crate::spec::{CampaignSpec, PlannedUnit};
-use crate::store::{plan_violations, ResultStore, StoreVerifier};
+use crate::store::{
+    header_violation, record_violation, ResultStore, StoreLine, StoreVerifier, Violation,
+};
 use crate::CampaignError;
 
 /// Knobs of one certification.
@@ -134,21 +138,49 @@ pub fn certify(
         )));
     }
     let plan = spec.plan()?;
+    let owned = 0..plan.units.len();
+    // One pass: line failures go out in file order; the plan-binding and
+    // route failures of each record are buffered, to follow them in the
+    // order a collect-then-check pass reports them.
     let mut failures = Vec::new();
-    let mut verifier = StoreVerifier::new();
-    let end = store.scan(|line, offset, parsed| {
-        match parsed {
-            Err(reason) => failures.push(CertifyFailure::new(
-                "-",
-                "parse",
-                "parseable-line".into(),
-                format!("{reason}:line{line}:offset{offset}"),
-            )),
-            Ok(store_line) => {
-                for v in verifier.accept(store_line) {
-                    failures.push(CertifyFailure::new(&v.unit, v.reason, v.expected, v.got));
-                }
+    let (mut binding, mut routes) = (Vec::new(), Vec::new());
+    // The first record of each stored route, for level 2's sample.
+    let mut first_of_route: [Option<usize>; 2] = [None; 2];
+    let mut verifier = StoreVerifier::new(Some(&plan));
+    let end = store.scan(&mut |line, offset, parsed| {
+        let store_line = match parsed {
+            Err(reason) => {
+                failures.push(CertifyFailure::new(
+                    "-",
+                    "parse",
+                    "parseable-line".into(),
+                    format!("{reason}:line{line}:offset{offset}"),
+                ));
+                return Ok(());
             }
+            Ok(store_line) => store_line,
+        };
+        let (violations, record) = verifier.accept(store_line);
+        failures.extend(violations.into_iter().map(CertifyFailure::from));
+        let Some(record) = record else { return Ok(()) };
+        for (first, route) in first_of_route.iter_mut().zip(ROUTES) {
+            if record.route == route && first.is_none() {
+                *first = Some(verifier.records - 1);
+            }
+        }
+        // A header of another spec is reported alone, so its records are
+        // not checked against the plan.
+        if verifier.header.as_ref().is_none_or(|h| h.spec_hash == plan.spec_hash) {
+            binding.extend(record_violation(&plan, &owned, &record).map(CertifyFailure::from));
+        }
+        let expected_route = route_unit(&record.unit).name();
+        if record.route != expected_route {
+            routes.push(CertifyFailure::new(
+                &record.hash,
+                "route",
+                expected_route.to_string(),
+                record.route,
+            ));
         }
         Ok(())
     })?;
@@ -168,21 +200,13 @@ pub fn certify(
             "missing".into(),
         ));
     }
-    let header = verifier.header.as_ref();
-    for v in plan_violations(&plan, 0..plan.units.len(), header, &verifier.records) {
-        failures.push(CertifyFailure::new(&v.unit, v.reason, v.expected, v.got));
+    let header = verifier.header.as_ref().and_then(|h| header_violation(&plan, h));
+    if header.as_ref().is_some_and(|v| v.reason == "spec-mismatch") {
+        binding.clear();
     }
-    for record in &verifier.records {
-        let expected_route = route_unit(&record.unit).name();
-        if record.route != expected_route {
-            failures.push(CertifyFailure::new(
-                &record.hash,
-                "route",
-                expected_route.to_string(),
-                record.route.clone(),
-            ));
-        }
-    }
+    failures.extend(header.map(CertifyFailure::from));
+    failures.append(&mut binding);
+    failures.append(&mut routes);
     if !verifier.sealed {
         failures.push(CertifyFailure::new(
             "-",
@@ -191,27 +215,33 @@ pub fn certify(
             "unsealed".into(),
         ));
     }
-    if verifier.records.len() != plan.units.len() {
+    if verifier.records != plan.units.len() {
         failures.push(CertifyFailure::new(
             "-",
             "complete",
             plan.units.len().to_string(),
-            verifier.records.len().to_string(),
+            verifier.records.to_string(),
         ));
     }
 
     let mut replayed = 0usize;
     if opts.level >= 2 {
-        let records = &verifier.records;
-        let mut chosen = sample_indices(opts.seed, records.len(), opts.sample);
+        let mut chosen = sample_indices(opts.seed, verifier.records, opts.sample);
+        // The sample's records, and the first of each route, in a second
+        // pass over the store.
+        let mut wanted: Vec<usize> =
+            chosen.iter().chain(first_of_route.iter().flatten()).copied().collect();
+        wanted.sort_unstable();
+        let records = sampled_records(store, &wanted)?;
+        let route_of = |i: usize| records.get(&i).map(|r| r.route.as_str());
         // Route coverage: when the store mixes batch- and serial-routed
         // units, a sample that happens to land on only one route would
         // leave the other engine unexercised — swap in the first record
         // of each missing route from the back of the sample.
         let mut replace_at = chosen.len();
-        for route in ["batch", "serial"] {
-            if let Some(first) = records.iter().position(|r| r.route == route) {
-                if replace_at > 0 && !chosen.iter().any(|&i| records[i].route == route) {
+        for (first, route) in first_of_route.into_iter().zip(ROUTES) {
+            if let Some(first) = first {
+                if replace_at > 0 && !chosen.iter().any(|&i| route_of(i) == Some(route)) {
                     replace_at -= 1;
                     chosen[replace_at] = first;
                 }
@@ -219,8 +249,7 @@ pub fn certify(
         }
         chosen.sort_unstable();
         chosen.dedup();
-        for i in chosen {
-            let record = &records[i];
+        for record in chosen.iter().filter_map(|i| records.get(i)) {
             let planned = PlannedUnit {
                 index: record.index,
                 hash: record.hash.clone(),
@@ -247,8 +276,8 @@ pub fn certify(
         store: store.path().display().to_string(),
         level: opts.level,
         pass: failures.is_empty(),
-        spec_hash: plan.spec_hash,
-        records: verifier.records.len(),
+        spec_hash: plan.spec_hash.clone(),
+        records: verifier.records,
         sealed: verifier.sealed,
         torn_tail: end.torn_bytes > 0,
         chain_head: verifier.chain_head,
@@ -256,6 +285,36 @@ pub fn certify(
         sample_seed: opts.seed,
         failures,
     })
+}
+
+/// The two stored route names, in the order level 2 forces them into
+/// its sample.
+const ROUTES: [&str; 2] = ["batch", "serial"];
+
+/// The records at the given positions (0-based, counting record lines
+/// only; `positions` sorted) of a second pass over `store`.
+fn sampled_records(
+    store: &ResultStore,
+    positions: &[usize],
+) -> Result<BTreeMap<usize, UnitRecord>, CampaignError> {
+    let mut records = BTreeMap::new();
+    let mut position = 0usize;
+    store.scan(&mut |_, _, parsed| {
+        if let Ok(StoreLine::Chained(chained)) = parsed {
+            if positions.binary_search(&position).is_ok() {
+                records.insert(position, chained.record);
+            }
+            position += 1;
+        }
+        Ok(())
+    })?;
+    Ok(records)
+}
+
+impl From<Violation> for CertifyFailure {
+    fn from(v: Violation) -> Self {
+        CertifyFailure::new(&v.unit, v.reason, v.expected, v.got)
+    }
 }
 
 /// Renders the verdict for the terminal: one `CERTIFY-FAIL` line per

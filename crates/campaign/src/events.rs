@@ -20,20 +20,22 @@
 //!
 //! Every lifecycle fact has exactly one call site, an [`EventSink::emit`]:
 //! the sink folds the event into a metrics registry ([`Event::fold_into`],
-//! the one event→series mapping), prints its greppable `SHARD-…` line
+//! the one event→series mapping; a sink names each unit series once and
+//! keeps its handles), prints its greppable `SHARD-…` line
 //! when it has one, and appends it to the ledger when one is open. The
 //! registry snapshot is therefore the same fold over the same events the
 //! ledger holds.
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use dynring_obs::{labeled, names, Registry};
+use dynring_obs::{labeled, names, Counter, Histogram, Registry};
 use serde::{Deserialize, Serialize};
 
-use crate::store::{open_for_append, read_or_empty};
+use crate::store::{for_each_line, open_for_append, READ_CHUNK};
 use crate::CampaignError;
 
 /// Ledger schema tag (stamped on [`Event::RunStart`]); bump on
@@ -184,19 +186,8 @@ impl Event {
         let count = |name: &str| registry.counter(name).inc();
         match self {
             Event::Unit { route, arity, replica_rounds, wall_us, fill, .. } => {
-                let route = [("route", route.as_str())];
-                count(&labeled(names::CAMPAIGN_UNITS, &route));
-                registry
-                    .counter(&labeled(names::CAMPAIGN_REPLICA_ROUNDS, &route))
-                    .add(*replica_rounds);
-                registry.histogram(&labeled(names::CAMPAIGN_UNIT_WALL_US, &route)).record(*wall_us);
-                if *arity > 0 {
-                    let arity = arity.to_string();
-                    count(&labeled(names::CAMPAIGN_BATCH_ARITY_UNITS, &[("arity", &arity)]));
-                }
-                if let Some(mode) = fill {
-                    count(&labeled(names::CAMPAIGN_SPARSE_GATHER_UNITS, &[("mode", mode)]));
-                }
+                UnitSeries::resolve(registry, route, *arity, fill.as_deref())
+                    .record(*replica_rounds, *wall_us);
             }
             Event::Wave { wall_us, .. } => {
                 count(names::CAMPAIGN_WAVES);
@@ -238,6 +229,46 @@ impl Event {
     }
 }
 
+/// The series one [`Event::Unit`] folds into, resolved from the unit's
+/// route, batch arity and snapshot fill: the one place that names them.
+#[derive(Debug)]
+struct UnitSeries {
+    units: Arc<Counter>,
+    replica_rounds: Arc<Counter>,
+    wall_us: Arc<Histogram>,
+    /// `campaign_batch_arity_units_total` on the batch route.
+    arity: Option<Arc<Counter>>,
+    /// `campaign_sparse_gather_units_total` when the fill is known.
+    fill: Option<Arc<Counter>>,
+}
+
+impl UnitSeries {
+    fn resolve(registry: &Registry, route: &str, arity: u64, fill: Option<&str>) -> Self {
+        let route = [("route", route)];
+        UnitSeries {
+            units: registry.counter(&labeled(names::CAMPAIGN_UNITS, &route)),
+            replica_rounds: registry.counter(&labeled(names::CAMPAIGN_REPLICA_ROUNDS, &route)),
+            wall_us: registry.histogram(&labeled(names::CAMPAIGN_UNIT_WALL_US, &route)),
+            arity: (arity > 0).then(|| {
+                let arity = arity.to_string();
+                registry.counter(&labeled(names::CAMPAIGN_BATCH_ARITY_UNITS, &[("arity", &arity)]))
+            }),
+            fill: fill.map(|mode| {
+                registry.counter(&labeled(names::CAMPAIGN_SPARSE_GATHER_UNITS, &[("mode", mode)]))
+            }),
+        }
+    }
+
+    fn record(&self, replica_rounds: u64, wall_us: u64) {
+        self.units.inc();
+        self.replica_rounds.add(replica_rounds);
+        self.wall_us.record(wall_us);
+        for counter in self.arity.iter().chain(&self.fill) {
+            counter.inc();
+        }
+    }
+}
+
 /// The one emit path of campaign lifecycle facts (see the module docs):
 /// a registry to fold every event into and, when telemetry is on, the
 /// events ledger to append it to.
@@ -245,7 +276,13 @@ impl Event {
 pub struct EventSink<'r> {
     registry: &'r Registry,
     ledger: Option<LedgerAppender>,
+    /// Unit series already resolved: a run names only a handful, so each
+    /// unit event skips the naming and the registry lock.
+    unit_series: Vec<(UnitKey, UnitSeries)>,
 }
+
+/// What names a unit's series: its route, batch arity and fill.
+type UnitKey = (String, u64, Option<String>);
 
 impl<'r> EventSink<'r> {
     /// A sink folding into `registry` (`dynring_obs::global()` in
@@ -257,7 +294,7 @@ impl<'r> EventSink<'r> {
     /// [`CampaignError::Io`] opening the ledger.
     pub fn open(registry: &'r Registry, ledger: Option<&Path>) -> Result<Self, CampaignError> {
         let ledger = ledger.map(|path| EventLedger::new(path).appender()).transpose()?;
-        Ok(EventSink { registry, ledger })
+        Ok(EventSink { registry, ledger, unit_series: Vec::new() })
     }
 
     /// Emits one event: folds it into the registry, prints its
@@ -267,7 +304,19 @@ impl<'r> EventSink<'r> {
     ///
     /// [`CampaignError::Io`] / [`CampaignError::Json`] from the ledger.
     pub fn emit(&mut self, event: Event) -> Result<(), CampaignError> {
-        event.fold_into(self.registry);
+        if let Event::Unit { route, arity, replica_rounds, wall_us, fill, .. } = &event {
+            let known = self.unit_series.iter().position(|((r, a, f), _)| {
+                r == route && a == arity && f == fill
+            });
+            let at = known.unwrap_or_else(|| {
+                let series = UnitSeries::resolve(self.registry, route, *arity, fill.as_deref());
+                self.unit_series.push(((route.clone(), *arity, fill.clone()), series));
+                self.unit_series.len() - 1
+            });
+            self.unit_series[at].1.record(*replica_rounds, *wall_us);
+        } else {
+            event.fold_into(self.registry);
+        }
         if let Some(line) = event.shard_line() {
             // Retries go to stderr, quarantines and steals to stdout.
             if matches!(event, Event::Retry { .. }) {
@@ -358,13 +407,11 @@ impl EventLedger {
     ///
     /// [`CampaignError::Io`] on filesystem trouble only.
     pub fn load(&self) -> Result<LoadedLedger, CampaignError> {
-        let bytes = read_or_empty(&self.path)?;
         let mut events = Vec::new();
         let mut skipped_lines = 0usize;
-        let mut rest = &bytes[..];
-        // An unterminated final line is torn mid-write and stays in `rest`.
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            let parsed = std::str::from_utf8(&rest[..nl])
+        // An unterminated final line is torn mid-write and ends the scan.
+        let end = for_each_line(&self.path, |line| {
+            let parsed = std::str::from_utf8(line.bytes)
                 .ok()
                 .and_then(|s| serde_json::from_str::<EventRecord>(s).ok());
             match parsed {
@@ -375,9 +422,9 @@ impl EventLedger {
                 // keep reading.
                 None => skipped_lines += 1,
             }
-            rest = &rest[nl + 1..];
-        }
-        Ok(LoadedLedger { events, torn_bytes: rest.len() as u64, skipped_lines })
+            Ok(true)
+        })?;
+        Ok(LoadedLedger { events, torn_bytes: end.torn_bytes, skipped_lines })
     }
 
     /// Opens the ledger for appending just past its last newline,
@@ -389,15 +436,38 @@ impl EventLedger {
     ///
     /// [`CampaignError::Io`].
     pub fn appender(&self) -> Result<LedgerAppender, CampaignError> {
-        let bytes = read_or_empty(&self.path)?;
-        let valid_len = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
-        let file = open_for_append(&self.path, valid_len as u64)?;
+        let (valid_len, len) = newline_terminated_len(&self.path)?;
+        let file = open_for_append(&self.path, valid_len)?;
         let mut appender = LedgerAppender { file };
-        if bytes.len() > valid_len {
-            appender.append(Event::TornTail { bytes: (bytes.len() - valid_len) as u64 })?;
+        if len > valid_len {
+            appender.append(Event::TornTail { bytes: len - valid_len })?;
         }
         Ok(appender)
     }
+}
+
+/// The length of the file at `path` up to and including its last newline,
+/// and its whole length (both 0 for a missing file): read backwards from
+/// the end in blocks of [`READ_CHUNK`], so only the torn tail and the
+/// block holding the last newline are read.
+fn newline_terminated_len(path: &Path) -> Result<(u64, u64), CampaignError> {
+    let mut file = match File::open(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0)),
+        file => file?,
+    };
+    let len = file.metadata()?.len();
+    let mut block = vec![0u8; READ_CHUNK.min(usize::try_from(len).unwrap_or(usize::MAX))];
+    let mut end = len;
+    while end > 0 {
+        let n = block.len().min(usize::try_from(end).unwrap_or(usize::MAX));
+        end -= n as u64;
+        file.seek(SeekFrom::Start(end))?;
+        file.read_exact(&mut block[..n])?;
+        if let Some(nl) = block[..n].iter().rposition(|&b| b == b'\n') {
+            return Ok((end + nl as u64 + 1, len));
+        }
+    }
+    Ok((0, len))
 }
 
 /// An open ledger appender (one JSON line per event).

@@ -22,12 +22,13 @@ use std::time::{Duration, Instant};
 
 use dynring_analysis::parallel::{available_workers, stream_map};
 
+use crate::aggregate::ReportFold;
 use crate::events::{Event, EventSink, EVENTS_SCHEMA};
 use crate::executor::{execute_unit, route_unit, UnitRecord};
 use crate::fault::FailPlan;
 use crate::shard::ShardSel;
 use crate::spec::{CampaignSpec, PlannedUnit};
-use crate::store::{check_plan, ResultStore, StoreHeader};
+use crate::store::{ResultStore, StoreHeader};
 use crate::CampaignError;
 
 /// How long committed records may go without an fsync. The committer
@@ -141,30 +142,31 @@ pub fn run_campaign(
     opts: &RunOptions,
 ) -> Result<RunOutcome, CampaignError> {
     let plan = spec.plan()?;
-    let loaded = store.load()?;
-    let path = store.path().display().to_string();
-    if opts.fresh && loaded.header.is_some() {
-        return Err(CampaignError::StoreExists(path));
-    }
+    let units = plan.units.len();
     // Restrict to one shard's slice of the plan when asked. Everything
     // else — header, record shape, chaining — is unchanged, so a shard
     // store is just a normal store whose records happen to be one
-    // contiguous plan range.
+    // contiguous plan range. A bad selection is refused after the
+    // store's own damage and a fresh run's refusal, as the read binds
+    // the records to the whole plan until then.
     let owned = match &opts.shard {
-        Some(sel) => {
-            sel.validate(plan.units.len())?;
-            sel.range(plan.units.len())
-        }
-        None => 0..plan.units.len(),
+        Some(sel) => sel.validate(units).map(|()| sel.range(units)),
+        None => Ok(0..units),
     };
-    check_plan(&plan, owned.clone(), loaded.header.as_ref(), &loaded.records, &path)?;
+    // One bounded pass: the records are verified and counted, not kept.
+    let (stored, refusal) =
+        store.read_for_plan(&plan, owned.clone().unwrap_or(0..units), &mut |_| {})?;
+    let path = store.path().display().to_string();
+    if opts.fresh && stored.header.is_some() {
+        return Err(CampaignError::StoreExists(path));
+    }
+    let owned = owned?;
+    if let Some(v) = refusal {
+        return Err(v.refuse(&path));
+    }
     let slice = &plan.units[owned];
-    let completed = loaded.completed_hashes();
-    let pending: Vec<&PlannedUnit> = slice
-        .iter()
-        .filter(|u| !completed.contains(u.hash.as_str()))
-        .collect();
-    if loaded.sealed && !pending.is_empty() {
+    let pending: Vec<&PlannedUnit> = slice.iter().filter(|u| !stored.done[u.index]).collect();
+    if stored.sealed && !pending.is_empty() {
         return Err(CampaignError::CorruptStore(format!(
             "{path}: sealed store is missing {} planned units",
             pending.len()
@@ -180,9 +182,9 @@ pub fn run_campaign(
         Some(hash)
     });
 
-    let mut appender = store.appender(&loaded)?;
+    let mut appender = store.append_after(&stored)?;
     appender.set_fault(opts.fault);
-    if loaded.header.is_none() {
+    if stored.header.is_none() {
         appender.append_header(StoreHeader {
             name: plan.name.clone(),
             spec_hash: plan.spec_hash.clone(),
@@ -248,7 +250,7 @@ pub fn run_campaign(
     // Seal on completion. A complete-but-unsealed store (a run
     // interrupted between its last record and the seal) gets sealed by
     // the resume that finds it complete; a sealed resume is a pure no-op.
-    if executed == pending.len() && !loaded.sealed {
+    if executed == pending.len() && !stored.sealed {
         appender.seal()?;
         appender.sync()?;
     }
@@ -291,7 +293,8 @@ fn unit_event(record: &UnitRecord, wall: Duration) -> Event {
     }
 }
 
-/// Loads a store and folds it into the report for `spec`.
+/// Reads a store and folds it into the report for `spec`, each record
+/// as it is verified.
 ///
 /// # Errors
 ///
@@ -303,19 +306,25 @@ pub fn load_report(
     store: &ResultStore,
 ) -> Result<crate::CampaignReport, CampaignError> {
     let plan = spec.plan()?;
-    let loaded = store.load()?;
+    let mut fold = ReportFold::default();
+    let (stored, refusal) =
+        store.read_for_plan(&plan, 0..plan.units.len(), &mut |record| {
+            fold.add(record.index, record);
+        })?;
     let path = store.path().display().to_string();
-    if loaded.header.is_none() {
+    if stored.header.is_none() {
         return Err(CampaignError::CorruptStore(format!(
             "{path} has no store header (a missing or empty file; start it with \
              `campaign run`)"
         )));
     }
-    check_plan(&plan, 0..plan.units.len(), loaded.header.as_ref(), &loaded.records, &path)?;
-    let mut report = crate::aggregate::aggregate(&plan, &loaded.records);
-    report.torn_tail = loaded.torn_tail;
-    report.torn_bytes = loaded.torn_bytes;
-    report.sealed = loaded.sealed;
+    if let Some(v) = refusal {
+        return Err(v.refuse(&path));
+    }
+    let mut report = fold.finish(&plan);
+    report.torn_tail = stored.torn_bytes > 0;
+    report.torn_bytes = stored.torn_bytes;
+    report.sealed = stored.sealed;
     Ok(report)
 }
 

@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::spec::CampaignPlan;
-use crate::store::{check_plan, StoreHeader};
+use crate::store::{header_violation, StoreHeader};
 use crate::CampaignError;
 
 /// The manifest schema generation (bumped on shape changes).
@@ -386,7 +386,7 @@ impl ShardManifest {
             spec_hash: self.spec_hash.clone(),
             planned_units: self.planned_units,
         };
-        check_plan(plan, 0..plan.units.len(), Some(&header), &[], "shard manifest")
+        header_violation(plan, &header).map_or(Ok(()), |v| Err(v.refuse("shard manifest")))
     }
 
     /// The entry of shard `index`.

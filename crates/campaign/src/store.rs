@@ -22,10 +22,17 @@
 //! diagnostic. Whether a store belongs to a plan — its spec, campaign
 //! and size, and each record's place in the plan — is one check that
 //! every reader shares: a store belongs to exactly one spec.
+//!
+//! Every read is one bounded pass: the file goes through one reused
+//! 64 KiB buffer and each record is handed to its
+//! reader as soon as it is verified, so a reader holds what it folds
+//! (and a flag per plan unit), never the file or its records. Only
+//! [`ResultStore::load`] collects the records, for merge and the public
+//! API.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -93,21 +100,128 @@ pub struct LoadedStore {
     pub sealed: bool,
 }
 
-impl LoadedStore {
-    /// The hashes of all completed units.
-    pub fn completed_hashes(&self) -> HashSet<&str> {
-        self.records.iter().map(|r| r.hash.as_str()).collect()
-    }
+/// What a bounded read keeps of a verified store: everything
+/// [`LoadedStore`] holds but the records themselves.
+#[derive(Debug)]
+pub(crate) struct StoreSummary {
+    /// The header, when the file has one.
+    pub header: Option<StoreHeader>,
+    /// Records in the file.
+    pub records: usize,
+    /// The chain head after every record (`None` without a header).
+    pub chain_head: Option<String>,
+    /// Byte offset just past the last valid line.
+    pub valid_len: u64,
+    /// Bytes past `valid_len` (a torn trailing write).
+    pub torn_bytes: u64,
+    /// Whether the store ends in a verified seal.
+    pub sealed: bool,
+    /// Per plan unit, whether the store holds its record; empty when the
+    /// read was not bound to a plan.
+    pub done: Vec<bool>,
 }
 
-/// Where the scan of a store file ended: the extent of its
-/// newline-terminated region.
-#[derive(Debug)]
+/// Where the scan of a file ended: the extent of its newline-terminated
+/// region.
+#[derive(Debug, Default)]
 pub(crate) struct ScanEnd {
     /// Byte offset just past the last newline-terminated line.
     pub valid_len: u64,
     /// Bytes past `valid_len` (a torn trailing write).
     pub torn_bytes: u64,
+}
+
+/// The size of the one buffer a store or events-ledger read goes
+/// through, and the most any single read asks for. The buffer is capped
+/// at the file's length plus one byte (a small file costs no more than
+/// itself), a line longer than the buffer grows it, and a partial line
+/// at its end carries over to the next read.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's read size in place of [`READ_CHUNK`]: the chunk
+    /// boundary tests read the same files at sizes down to one byte.
+    pub(crate) static TEST_READ_CHUNK: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(READ_CHUNK) };
+}
+
+fn read_chunk() -> usize {
+    #[cfg(test)]
+    return TEST_READ_CHUNK.with(std::cell::Cell::get);
+    #[cfg(not(test))]
+    READ_CHUNK
+}
+
+/// One newline-terminated line, as [`for_each_line`] hands it over.
+pub(crate) struct Line<'a> {
+    /// 1-based line number.
+    pub number: usize,
+    /// Byte offset of the line's first byte.
+    pub offset: u64,
+    /// The line without its newline.
+    pub bytes: &'a [u8],
+    /// Whether a read after the line's newline returned end of file: the
+    /// line was the file's last when it was read.
+    pub last: bool,
+}
+
+/// Splits the file at `path` into its newline-terminated lines, in file
+/// order, through one reused buffer (see [`READ_CHUNK`]). `visit`
+/// returns `false` to stop at a line: that line and everything after it
+/// are then the tail. A missing file has no lines. The end of the file
+/// is whatever the last read sees, so a file that is still being
+/// appended to reads as the prefix written so far.
+pub(crate) fn for_each_line(
+    path: &Path,
+    mut visit: impl FnMut(Line<'_>) -> Result<bool, CampaignError>,
+) -> Result<ScanEnd, CampaignError> {
+    let mut file = match File::open(path) {
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(ScanEnd::default()),
+        file => file?,
+    };
+    let chunk = read_chunk().max(1);
+    let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+    let mut buf = vec![0u8; chunk.min(len.saturating_add(1))];
+    // `buf[start..end]` is read but not yet visited; `searched` is where
+    // the newline search resumes; `offset` is the file offset of `start`.
+    let (mut start, mut end, mut searched) = (0usize, 0usize, 0usize);
+    let (mut offset, mut number, mut eof) = (0u64, 0usize, false);
+    loop {
+        let newline = buf[searched..end].iter().position(|&b| b == b'\n').map(|i| searched + i);
+        match newline {
+            // A line whose newline ends the bytes read so far waits for
+            // one more read, which tells whether it is the file's last.
+            Some(nl) if nl + 1 < end || eof => {
+                number += 1;
+                let line = Line { number, offset, bytes: &buf[start..nl], last: nl + 1 == end };
+                if !visit(line)? {
+                    break;
+                }
+                offset += (nl + 1 - start) as u64;
+                (start, searched) = (nl + 1, nl + 1);
+            }
+            None if eof => break,
+            _ => {
+                searched = newline.unwrap_or(end) - start;
+                buf.copy_within(start..end, 0);
+                (start, end) = (0, end - start);
+                if end == buf.len() {
+                    buf.resize(2 * end, 0);
+                }
+                let room = (buf.len() - end).min(chunk);
+                let read = loop {
+                    match file.read(&mut buf[end..end + room]) {
+                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                        read => break read?,
+                    }
+                };
+                end += read;
+                eof = read == 0;
+            }
+        }
+    }
+    Ok(ScanEnd { valid_len: offset, torn_bytes: (end - start) as u64 })
 }
 
 /// One semantic rule violated by an otherwise-parseable line. `reason`,
@@ -138,116 +252,170 @@ impl Violation {
             self.reason, self.unit, self.expected, self.got
         )
     }
+
+    /// The violation as run, resume, report and the shard manifest refuse
+    /// it: [`CampaignError::SpecMismatch`], or one
+    /// [`CampaignError::CorruptStore`] line naming `source`. Each refuses
+    /// its first violation.
+    pub(crate) fn refuse(self, source: &str) -> CampaignError {
+        if self.reason == "spec-mismatch" {
+            CampaignError::SpecMismatch { expected: self.expected, found: self.got }
+        } else {
+            CampaignError::CorruptStore(format!("{source}: {}", self.render()))
+        }
+    }
+}
+
+/// Whether a store `header` belongs to `plan`: `spec-mismatch` when it
+/// names another spec, `plan-mismatch` when it names another campaign or
+/// unit count.
+pub(crate) fn header_violation(plan: &CampaignPlan, header: &StoreHeader) -> Option<Violation> {
+    if header.spec_hash != plan.spec_hash {
+        let (expected, got) = (plan.spec_hash.clone(), header.spec_hash.clone());
+        return Some(Violation::new("-", "spec-mismatch", expected, got));
+    }
+    (header.name != plan.name || header.planned_units != plan.units.len()).then(|| {
+        Violation::new(
+            "-",
+            "plan-mismatch",
+            format!("{}/{}", plan.name, plan.units.len()),
+            format!("{}/{}", header.name, header.planned_units),
+        )
+    })
+}
+
+/// Whether `record` belongs to `plan` in a store that may hold only the
+/// plan units in `owned`: `foreign-unit` when it is not the plan's unit
+/// at its index, `shard-membership` when it lies outside `owned`.
+pub(crate) fn record_violation(
+    plan: &CampaignPlan,
+    owned: &Range<usize>,
+    record: &UnitRecord,
+) -> Option<Violation> {
+    let planned = plan.units.get(record.index).map(|p| p.hash.as_str());
+    if planned != Some(record.hash.as_str()) {
+        Some(Violation::new(
+            &record.hash,
+            "foreign-unit",
+            format!("{}:{}", record.index, planned.unwrap_or("-")),
+            format!("{}:{}", record.index, record.hash),
+        ))
+    } else if !owned.contains(&record.index) {
+        Some(Violation::new(
+            &record.hash,
+            "shard-membership",
+            format!("{}..{}", owned.start, owned.end),
+            record.index.to_string(),
+        ))
+    } else {
+        None
+    }
 }
 
 /// Whether a store's `header` and `records` belong to `plan`, for a store
 /// that may hold only the plan units in `owned`: the one binding check of
 /// every reader (run and resume, report, merge, certify and the shard
-/// manifest), in merge's tokens:
-///
-/// - `spec-mismatch`: the header names another spec. Reported alone,
-///   because a store of another spec holds no record of this plan;
-/// - `plan-mismatch`: the header names another campaign or unit count;
-/// - `foreign-unit`: a record is not the plan's unit at its index;
-/// - `shard-membership`: a record lies outside `owned`.
-///
-/// Without a header only the records are checked.
+/// manifest), in merge's tokens — [`header_violation`], then
+/// [`record_violation`] for each record in order. A `spec-mismatch` is
+/// reported alone, because a store of another spec holds no record of
+/// this plan. Without a header only the records are checked. The
+/// streaming readers apply the same two checks record by record.
 pub(crate) fn plan_violations(
     plan: &CampaignPlan,
     owned: Range<usize>,
     header: Option<&StoreHeader>,
     records: &[UnitRecord],
 ) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    if let Some(header) = header {
-        if header.spec_hash != plan.spec_hash {
-            let (expected, got) = (plan.spec_hash.clone(), header.spec_hash.clone());
-            return vec![Violation::new("-", "spec-mismatch", expected, got)];
-        }
-        if header.name != plan.name || header.planned_units != plan.units.len() {
-            violations.push(Violation::new(
-                "-",
-                "plan-mismatch",
-                format!("{}/{}", plan.name, plan.units.len()),
-                format!("{}/{}", header.name, header.planned_units),
-            ));
-        }
+    let mut violations: Vec<Violation> =
+        header.and_then(|h| header_violation(plan, h)).into_iter().collect();
+    if violations.first().is_some_and(|v| v.reason == "spec-mismatch") {
+        return violations;
     }
-    for record in records {
-        let planned = plan.units.get(record.index).map(|p| p.hash.as_str());
-        if planned != Some(record.hash.as_str()) {
-            violations.push(Violation::new(
-                &record.hash,
-                "foreign-unit",
-                format!("{}:{}", record.index, planned.unwrap_or("-")),
-                format!("{}:{}", record.index, record.hash),
-            ));
-        } else if !owned.contains(&record.index) {
-            violations.push(Violation::new(
-                &record.hash,
-                "shard-membership",
-                format!("{}..{}", owned.start, owned.end),
-                record.index.to_string(),
-            ));
-        }
-    }
+    violations.extend(records.iter().filter_map(|r| record_violation(plan, &owned, r)));
     violations
 }
 
-/// [`plan_violations`] as run, resume, report and the shard manifest
-/// refuse it: [`CampaignError::SpecMismatch`], or one
-/// [`CampaignError::CorruptStore`] line naming `source`.
-pub(crate) fn check_plan(
-    plan: &CampaignPlan,
-    owned: Range<usize>,
-    header: Option<&StoreHeader>,
-    records: &[UnitRecord],
-    source: &str,
-) -> Result<(), CampaignError> {
-    match plan_violations(plan, owned, header, records).into_iter().next() {
-        None => Ok(()),
-        Some(v) if v.reason == "spec-mismatch" => {
-            Err(CampaignError::SpecMismatch { expected: v.expected, found: v.got })
+/// The unit hashes a verifier has accepted. Bound to a plan, a record in
+/// its own plan slot costs one flag instead of its hash, so the set grows
+/// with the plan rather than the store; any other hash is kept whole.
+/// Plan hashes are unique (a spec refuses duplicate axis entries), so a
+/// hash names at most one slot and the set is exact either way.
+#[derive(Debug)]
+struct SeenUnits<'p> {
+    plan: Option<&'p CampaignPlan>,
+    /// Per plan unit, whether its hash was seen.
+    slots: Vec<bool>,
+    /// Seen hashes that are no plan unit's.
+    others: HashSet<String>,
+    /// The plan's slots by hash, built at the first record outside its
+    /// own slot (a damaged or foreign store).
+    by_hash: Option<HashMap<&'p str, usize>>,
+}
+
+impl<'p> SeenUnits<'p> {
+    /// Marks `hash`, stored at plan index `index`, seen: `false` when it
+    /// already was.
+    fn insert(&mut self, index: usize, hash: &str) -> bool {
+        match self.slot(index, hash) {
+            Some(slot) => !std::mem::replace(&mut self.slots[slot], true),
+            None => self.others.insert(hash.to_string()),
         }
-        Some(v) => Err(CampaignError::CorruptStore(format!("{source}: {}", v.render()))),
+    }
+
+    fn slot(&mut self, index: usize, hash: &str) -> Option<usize> {
+        let plan = self.plan?;
+        if plan.units.get(index).is_some_and(|u| u.hash == hash) {
+            return Some(index);
+        }
+        let by_hash = self.by_hash.get_or_insert_with(|| {
+            plan.units.iter().enumerate().map(|(i, u)| (u.hash.as_str(), i)).collect()
+        });
+        by_hash.get(hash).copied()
     }
 }
 
-/// The shared semantic checker behind [`ResultStore::load`] (stop at the
-/// first violation) and `dynring certify` (collect them all). Feeding it
-/// lines in file order recomputes the content hashes, digests and chain
-/// links, and tracks ordering, duplication and the seal.
+/// The shared semantic checker behind every store reader: fed lines in
+/// file order, it recomputes the content hashes, digests and chain
+/// links, tracks ordering, duplication and the seal, and hands each
+/// record back to its reader instead of keeping it.
 #[derive(Debug)]
-pub(crate) struct StoreVerifier {
+pub(crate) struct StoreVerifier<'p> {
     /// The header, once seen.
     pub header: Option<StoreHeader>,
     /// The chain head after every accepted line.
     pub chain_head: Option<String>,
-    /// Unit records in file order.
-    pub records: Vec<UnitRecord>,
+    /// Records accepted so far.
+    pub records: usize,
     /// Whether a seal line was seen.
     pub sealed: bool,
-    seen: HashSet<String>,
+    seen: SeenUnits<'p>,
     last_index: Option<usize>,
 }
 
-impl StoreVerifier {
-    pub(crate) fn new() -> Self {
+impl<'p> StoreVerifier<'p> {
+    /// A verifier whose duplicate check is bound to `plan` when given
+    /// (see [`SeenUnits`]); it checks the same rules either way.
+    pub(crate) fn new(plan: Option<&'p CampaignPlan>) -> Self {
         StoreVerifier {
             header: None,
             chain_head: None,
-            records: Vec::new(),
+            records: 0,
             sealed: false,
-            seen: HashSet::new(),
+            seen: SeenUnits {
+                plan,
+                slots: vec![false; plan.map_or(0, |p| p.units.len())],
+                others: HashSet::new(),
+                by_hash: None,
+            },
             last_index: None,
         }
     }
 
-    /// Accepts the next line, returning every rule it violates (empty =
-    /// clean). State advances even on violations — using the *stored*
-    /// values — so one corrupt line yields its own violations instead of
-    /// cascading over the rest of the file.
-    pub(crate) fn accept(&mut self, line: StoreLine) -> Vec<Violation> {
+    /// Accepts the next line: every rule it violates (empty = clean) and,
+    /// for a record line, the record. State advances even on violations —
+    /// using the *stored* values — so one corrupt line yields its own
+    /// violations instead of cascading over the rest of the file.
+    pub(crate) fn accept(&mut self, line: StoreLine) -> (Vec<Violation>, Option<UnitRecord>) {
         let mut violations = Vec::new();
         if self.sealed {
             violations.push(Violation::new(
@@ -267,12 +435,12 @@ impl StoreVerifier {
                         "second-header".into(),
                     ));
                 } else {
-                    if !self.records.is_empty() {
+                    if self.records > 0 {
                         violations.push(Violation::new(
                             "-",
                             "header-not-first",
                             "line-1".into(),
-                            format!("after-{}-records", self.records.len()),
+                            format!("after-{}-records", self.records),
                         ));
                     }
                     self.chain_head = Some(chain_seed(&header));
@@ -281,7 +449,8 @@ impl StoreVerifier {
             }
             StoreLine::Chained(chained) => {
                 self.check_record(&chained, &mut violations);
-                self.records.push(chained.record);
+                self.records += 1;
+                return (violations, Some(chained.record));
             }
             StoreLine::Seal(footer) => {
                 if !self.sealed {
@@ -290,7 +459,20 @@ impl StoreVerifier {
                 }
             }
         }
-        violations
+        (violations, None)
+    }
+
+    /// What the verifier keeps once the scan that fed it ended at `end`.
+    fn finish(self, end: ScanEnd) -> StoreSummary {
+        StoreSummary {
+            header: self.header,
+            records: self.records,
+            chain_head: self.chain_head,
+            valid_len: end.valid_len,
+            torn_bytes: end.torn_bytes,
+            sealed: self.sealed,
+            done: self.seen.slots,
+        }
     }
 
     fn check_record(&mut self, chained: &ChainedRecord, violations: &mut Vec<Violation>) {
@@ -304,7 +486,7 @@ impl StoreVerifier {
                 record.hash.clone(),
             ));
         }
-        if !self.seen.insert(record.hash.clone()) {
+        if !self.seen.insert(record.index, &record.hash) {
             violations.push(Violation::new(
                 &record.hash,
                 "duplicate-unit",
@@ -374,11 +556,11 @@ impl StoreVerifier {
                 footer.schema.clone(),
             ));
         }
-        if footer.units != self.records.len() {
+        if footer.units != self.records {
             violations.push(Violation::new(
                 "-",
                 "unit-count-mismatch",
-                self.records.len().to_string(),
+                self.records.to_string(),
                 footer.units.to_string(),
             ));
         }
@@ -457,51 +639,102 @@ impl ResultStore {
     }
 
     /// The tolerant line pass: splits the file into newline-terminated
-    /// lines and hands each to `visit` as it is parsed, in file order,
-    /// with its 1-based number and byte offset: the [`StoreLine`], or why
-    /// it did not parse (`invalid-utf8` or `unparseable-json`).
-    /// Certification collects every line's failures; [`ResultStore::load`]
-    /// stops at the first, and an error from `visit` ends the pass. A
-    /// missing file is an empty scan; an unparseable *final* line (or an
-    /// unterminated tail) is torn, not corrupt, and is not visited — an
-    /// interruption can cut a buffer flush anywhere, including just after
-    /// a newline.
+    /// lines ([`for_each_line`]) and hands each to `visit` as it is
+    /// parsed, in file order, with its 1-based number and byte offset:
+    /// the [`StoreLine`], or why it did not parse (`invalid-utf8` or
+    /// `unparseable-json`). Certification collects every line's
+    /// failures; the other readers stop at the first, and an error from
+    /// `visit` ends the pass. A missing file is an empty scan; an
+    /// unparseable *final* line (or an unterminated tail) is torn, not
+    /// corrupt, and is not visited — an interruption can cut a buffer
+    /// flush anywhere, including just after a newline. A line counts as
+    /// final only once a read after its newline found the end of the
+    /// file.
     ///
     /// Bytes, not a `String`: a torn write can split a multi-byte UTF-8
     /// character, and that tail must be truncated like any other torn
     /// line, not fail the whole pass.
     pub(crate) fn scan(
         &self,
-        mut visit: impl FnMut(usize, u64, Result<StoreLine, &'static str>)
+        visit: &mut dyn FnMut(usize, u64, Result<StoreLine, &'static str>)
             -> Result<(), CampaignError>,
     ) -> Result<ScanEnd, CampaignError> {
-        let bytes = read_or_empty(&self.path)?;
-        let mut offset = 0usize;
-        let mut line_no = 0usize;
-        while let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') {
-            let is_last_line = offset + nl + 1 == bytes.len();
-            line_no += 1;
-            let parsed = match std::str::from_utf8(&bytes[offset..offset + nl]) {
+        for_each_line(&self.path, |line| {
+            let parsed = match std::str::from_utf8(line.bytes) {
                 Err(_) => Err("invalid-utf8"),
                 Ok(text) => serde_json::from_str::<StoreLine>(text).map_err(|_| "unparseable-json"),
             };
-            if parsed.is_err() && is_last_line {
-                break;
+            if parsed.is_err() && line.last {
+                return Ok(false);
             }
-            visit(line_no, offset as u64, parsed)?;
-            offset += nl + 1;
-        }
-        Ok(ScanEnd {
-            valid_len: offset as u64,
-            torn_bytes: (bytes.len() - offset) as u64,
+            visit(line.number, line.offset, parsed)?;
+            Ok(true)
         })
     }
 
-    /// Parses and verifies the file (missing file = empty store), each
-    /// line as it is read. A torn tail ends the valid region; everything
-    /// before it must parse *and* satisfy the semantic rules — content
-    /// hashes, digests, chain continuity, record ordering, no duplicates,
-    /// a valid seal if one is present.
+    /// The strict pass behind every reader but certification: verifies
+    /// each line as it is read (missing file = empty store) and hands
+    /// each record to `each`. A torn tail ends the valid region;
+    /// everything before it must parse *and* satisfy the semantic rules —
+    /// content hashes, digests, chain continuity, record ordering, no
+    /// duplicates, a valid seal if one is present. With a `plan`, the
+    /// summary's `done` flags which plan units have a record.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Io`] on unreadable files,
+    /// [`CampaignError::CorruptStore`] — one `STORE-CORRUPT line=…
+    /// offset=… reason=…` line — at the first non-trailing line that fails
+    /// to parse or verify (truncating the tail cannot repair it).
+    pub(crate) fn read(
+        &self,
+        plan: Option<&CampaignPlan>,
+        each: &mut dyn FnMut(UnitRecord),
+    ) -> Result<StoreSummary, CampaignError> {
+        let mut verifier = StoreVerifier::new(plan);
+        let end = self.scan(&mut |line, offset, parsed| {
+            let parsed = parsed.map_err(|reason| self.corrupt(line, offset, reason, "", ""))?;
+            let (violations, record) = verifier.accept(parsed);
+            if let Some(v) = violations.first() {
+                return Err(self.corrupt(line, offset, v.reason, &v.expected, &v.got));
+            }
+            if let Some(record) = record {
+                each(record);
+            }
+            Ok(())
+        })?;
+        Ok(verifier.finish(end))
+    }
+
+    /// [`ResultStore::read`] bound to `plan`, for a store that may hold
+    /// only the plan units in `owned`: each record is checked as
+    /// [`plan_violations`] checks it, and handed to `each` while every
+    /// record so far belongs. Returns the summary and the first
+    /// violation of the plan binding, which the caller refuses after its
+    /// own earlier checks — so, as when [`plan_violations`] checked the
+    /// records `load` collected, a `STORE-CORRUPT` line anywhere in the
+    /// file wins, and a `spec-mismatch` comes alone.
+    pub(crate) fn read_for_plan(
+        &self,
+        plan: &CampaignPlan,
+        owned: Range<usize>,
+        each: &mut dyn FnMut(&UnitRecord),
+    ) -> Result<(StoreSummary, Option<Violation>), CampaignError> {
+        let mut first = None;
+        let summary = self.read(Some(plan), &mut |record| {
+            if first.is_none() {
+                first = record_violation(plan, &owned, &record);
+                if first.is_none() {
+                    each(&record);
+                }
+            }
+        })?;
+        let header = summary.header.as_ref().and_then(|h| header_violation(plan, h));
+        Ok((summary, header.or(first)))
+    }
+
+    /// Parses and verifies the file, collecting its records: the one
+    /// reader that holds them all, for merge and the public API.
     ///
     /// # Errors
     ///
@@ -510,25 +743,16 @@ impl ResultStore {
     /// offset=… reason=…` line — at the first non-trailing line that fails
     /// to parse or verify (truncating the tail cannot repair it).
     pub fn load(&self) -> Result<LoadedStore, CampaignError> {
-        let mut verifier = StoreVerifier::new();
-        let end = self.scan(|line, offset, parsed| {
-            let violation = match parsed {
-                Err(reason) => return Err(self.corrupt(line, offset, reason, "", "")),
-                Ok(store_line) => verifier.accept(store_line).into_iter().next(),
-            };
-            match violation {
-                Some(v) => Err(self.corrupt(line, offset, v.reason, &v.expected, &v.got)),
-                None => Ok(()),
-            }
-        })?;
+        let mut records = Vec::new();
+        let summary = self.read(None, &mut |record| records.push(record))?;
         Ok(LoadedStore {
-            header: verifier.header,
-            records: verifier.records,
-            valid_len: end.valid_len,
-            torn_tail: end.torn_bytes > 0,
-            torn_bytes: end.torn_bytes,
-            chain_head: verifier.chain_head,
-            sealed: verifier.sealed,
+            header: summary.header,
+            records,
+            valid_len: summary.valid_len,
+            torn_tail: summary.torn_bytes > 0,
+            torn_bytes: summary.torn_bytes,
+            chain_head: summary.chain_head,
+            sealed: summary.sealed,
         })
     }
 
@@ -542,34 +766,38 @@ impl ResultStore {
     ///
     /// [`CampaignError::Io`].
     pub fn appender(&self, loaded: &LoadedStore) -> Result<StoreAppender, CampaignError> {
-        let file = open_for_append(&self.path, loaded.valid_len)?;
+        self.append_after(&StoreSummary {
+            header: loaded.header.clone(),
+            records: loaded.records.len(),
+            chain_head: loaded.chain_head.clone(),
+            valid_len: loaded.valid_len,
+            torn_bytes: loaded.torn_bytes,
+            sealed: loaded.sealed,
+            done: Vec::new(),
+        })
+    }
+
+    /// [`ResultStore::appender`] after a bounded read.
+    pub(crate) fn append_after(&self, read: &StoreSummary) -> Result<StoreAppender, CampaignError> {
+        let file = open_for_append(&self.path, read.valid_len)?;
         // Out-of-band I/O accounting (see `docs/OBSERVABILITY.md`):
         // instruments resolve once per appender, counts never feed back
         // into what gets written.
         let obs = dynring_obs::global();
-        if loaded.torn_bytes > 0 {
+        if read.torn_bytes > 0 {
             obs.counter(obs_names::STORE_TORN_TAILS).inc();
-            obs.counter(obs_names::STORE_TORN_BYTES).add(loaded.torn_bytes);
+            obs.counter(obs_names::STORE_TORN_BYTES).add(read.torn_bytes);
         }
         Ok(StoreAppender {
             file,
-            header: loaded.header.clone(),
-            chain_head: loaded.chain_head.clone(),
-            records: loaded.records.len(),
-            bytes: loaded.valid_len,
+            header: read.header.clone(),
+            chain_head: read.chain_head.clone(),
+            records: read.records,
+            bytes: read.valid_len,
             fault: None,
             bytes_appended: obs.counter(obs_names::STORE_BYTES_APPENDED),
             fsyncs: obs.counter(obs_names::STORE_FSYNCS),
         })
-    }
-}
-
-/// The bytes of the file at `path`; a missing file reads as empty. The
-/// first step of every store and events-ledger read.
-pub(crate) fn read_or_empty(path: &Path) -> Result<Vec<u8>, CampaignError> {
-    match std::fs::read(path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        bytes => Ok(bytes?),
     }
 }
 
@@ -756,6 +984,9 @@ impl StoreAppender {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod chunk_boundaries;
 
 #[cfg(test)]
 mod tests {

@@ -227,10 +227,10 @@ pub fn shard_progress(
     shard: usize,
     total: Option<usize>,
 ) -> Result<ShardProgress, CampaignError> {
-    let loaded = store.load()?;
+    let stored = store.read(None, &mut drop)?;
     let total =
-        total.or_else(|| loaded.header.as_ref().map(|h| h.planned_units)).unwrap_or(0);
-    let completed = loaded.records.len();
+        total.or_else(|| stored.header.as_ref().map(|h| h.planned_units)).unwrap_or(0);
+    let completed = stored.records;
     // A static view has no second observation to derive a rate from —
     // but a telemetered run left unit timestamps in the store's events
     // ledger. Derive a coarse units/sec (and ETA) from those, so
@@ -246,13 +246,13 @@ pub fn shard_progress(
             }
         }
     }
-    let state = if loaded.sealed {
+    let state = if stored.sealed {
         "sealed"
     } else if total > 0 && completed >= total {
         "complete"
-    } else if loaded.torn_tail {
+    } else if stored.torn_bytes > 0 {
         "torn"
-    } else if loaded.header.is_none() {
+    } else if stored.header.is_none() {
         "empty"
     } else {
         "open"
@@ -264,9 +264,9 @@ pub fn shard_progress(
         total,
         units_per_sec,
         eta_secs,
-        sealed: loaded.sealed,
-        torn: loaded.torn_tail,
-        torn_bytes: loaded.torn_bytes,
+        sealed: stored.sealed,
+        torn: stored.torn_bytes > 0,
+        torn_bytes: stored.torn_bytes,
         attempts: None,
         state: state.into(),
     })
@@ -306,8 +306,8 @@ enum ShardHealth {
 }
 
 fn shard_health(store: &ResultStore, units: usize) -> ShardHealth {
-    match store.load() {
-        Ok(loaded) if loaded.records.len() >= units => ShardHealth::Complete,
+    match store.read(None, &mut drop) {
+        Ok(stored) if stored.records >= units => ShardHealth::Complete,
         Ok(_) => ShardHealth::Incomplete,
         Err(_) => ShardHealth::Corrupt,
     }
@@ -538,7 +538,7 @@ pub fn supervise(
                     let done = if corrupt {
                         0
                     } else {
-                        slot.store.load().map(|l| l.records.len()).unwrap_or(0)
+                        slot.store.read(None, &mut drop).map_or(0, |s| s.records)
                     };
                     let done = done.min(slot.units);
                     let remaining = slot.units - done;

@@ -78,7 +78,11 @@ montecarlo-large:
 # level 2 (seeded sampled re-execution), then corrupt one byte of a copy
 # and check certification fails with a greppable CERTIFY-FAIL line.
 # Certified against another spec, the store must fail with exit 1 and
-# exactly one spec-mismatch line, not one failure per record.
+# exactly one spec-mismatch line, not one failure per record. A zeroed
+# byte past the first 64 KiB read buffer must be named at its exact line
+# and offset by certify, report and resume, and a store cut at 100,000
+# bytes must resume to the one-shot bytes. Last, the chunk-boundary and
+# bounded-read memory tests.
 certify-smoke: campaign-smoke
     cargo run --release -- certify target/campaign-smoke.jsonl --spec examples/campaign_smoke.json
     cargo run --release -- certify target/campaign-smoke.jsonl --spec examples/campaign_smoke.json --level 2 --sample 8 --seed 7 --out target/certify-verdict.json
@@ -94,6 +98,24 @@ certify-smoke: campaign-smoke
     grep -q 'CERTIFY-FAIL unit=- field=parse' target/certify-forged.log
     code=0; cargo run --release -- campaign report --spec examples/campaign_smoke.json --store target/campaign-smoke-forged.jsonl > target/report-forged.log 2>&1 || code=$?; test "$code" -eq 1 || { echo "a forged float must fail the report with exit 1, got $code"; exit 1; }
     grep -q 'STORE-CORRUPT .*reason=unparseable-json' target/report-forged.log
+    cp target/campaign-smoke.jsonl target/campaign-smoke-far.jsonl
+    printf '\0' | dd of=target/campaign-smoke-far.jsonl bs=1 seek=70000 conv=notrunc status=none
+    code=0; cargo run --release -- certify target/campaign-smoke-far.jsonl --spec examples/campaign_smoke.json > target/certify-far.log 2>&1 || code=$?; test "$code" -eq 1 || { echo "a fault past the first read buffer must fail certification with exit 1, got $code"; exit 1; }
+    grep -Fxq 'CERTIFY-FAIL unit=- field=parse expected=parseable-line got=unparseable-json:line161:offset69630' target/certify-far.log
+    grep -Fxq 'CERTIFY-FAIL unit=422a89a5a162ca19 field=chain-mismatch expected=c9401e223a1d8d23 got=e07f7ab763a8564e' target/certify-far.log
+    grep -Fxq 'CERTIFY-FAIL unit=- field=unit-count-mismatch expected=239 got=240' target/certify-far.log
+    grep -Fxq 'CERTIFY-FAIL unit=- field=complete expected=240 got=239' target/certify-far.log
+    test "$(grep -c CERTIFY-FAIL target/certify-far.log)" -eq 4
+    code=0; cargo run --release -- campaign report --spec examples/campaign_smoke.json --store target/campaign-smoke-far.jsonl > target/report-far.log 2>&1 || code=$?; test "$code" -eq 1 || { echo "a fault past the first read buffer must fail the report with exit 1, got $code"; exit 1; }
+    grep -q 'STORE-CORRUPT line=161 offset=69630 reason=unparseable-json' target/report-far.log
+    code=0; cargo run --release -- campaign resume --spec examples/campaign_smoke.json --store target/campaign-smoke-far.jsonl > target/resume-far.log 2>&1 || code=$?; test "$code" -eq 1 || { echo "a fault past the first read buffer must fail the resume with exit 1, got $code"; exit 1; }
+    grep -q 'STORE-CORRUPT line=161 offset=69630 reason=unparseable-json' target/resume-far.log
+    head -c 100000 target/campaign-smoke.jsonl > target/campaign-smoke-cut.jsonl
+    cargo run --release -- campaign resume --spec examples/campaign_smoke.json --store target/campaign-smoke-cut.jsonl > target/resume-cut.log
+    grep -q 'planned 240 units: 226 already stored, 14 executed, 0 pending' target/resume-cut.log
+    cmp target/campaign-smoke-cut.jsonl target/campaign-smoke.jsonl
+    sh scripts/test-nonempty.sh -q -p dynring-campaign --lib -- chunk_boundaries
+    sh scripts/test-nonempty.sh -q -p dynring-campaign --test bounded_read
 
 # CI gate for distributed campaigns (see docs/CAMPAIGNS.md): shard the
 # committed smoke spec over 4 worker processes, kill shard 1's first
